@@ -18,8 +18,8 @@ from typing import Iterator, Sequence
 from .budget import check_budget
 from .chair import Chair, iter_box
 from .errors import BadParameters, HypothesisViolated, NotPerfect
-from .exactmath import IntMatrix
-from .lattice import Lattice, chair_lattice, lattice_points_in_box, verify_tiling
+from .exactmath import IntMatrix, hnf_residue
+from .lattice import Lattice, chair_lattice
 from .splitting import general_chair_splitting, splitting_to_lattice
 
 
@@ -98,7 +98,6 @@ def enumerate_sphere(s: ErrorSphere, budget: int | None = None) -> list[tuple[in
 
     rec(0, 0)
     out.sort()
-    assert len(out) == s.size
     return out
 
 
@@ -119,8 +118,7 @@ class LatticeCode:
     def wraps_alphabet(self, q: int) -> bool:
         """Whether q*e_i is a lattice vector for every axis, i.e. codeword
         arithmetic may wrap modulo q."""
-        n = self.sphere.n
-        return all(self.lattice.member([q if j == i else 0 for j in range(n)]) for i in range(n))
+        return self.lattice.wraps(q)
 
     def to_json_dict(self) -> dict:
         out = self.sphere.to_json_dict()
@@ -135,21 +133,47 @@ class LatticeCode:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> LatticeCode:
+        """Read a code file.  A code marked perfect must carry exactly the
+        syndrome table its lattice and sphere determine; BadParameters if not."""
         sphere = ErrorSphere(int(data["n"]), int(data["t"]),
                              tuple(int(m) for m in data["magnitudes"]))
         lat = Lattice(data["generator"])
+        perfect = bool(data["perfect"])
         table = None
         if "table" in data:
             table = {}
             for key, err in data["table"].items():
                 label = tuple(int(r) for r in key.split(",")) if key else ()
                 table[label] = tuple(int(e) for e in err.split(","))
-        return cls(lat, sphere, bool(data["perfect"]), table)
+        if perfect:
+            try:
+                expected = _syndrome_table(lat, sphere)
+            except NotPerfect as exc:
+                raise BadParameters(f"code file is marked perfect, but {exc}") from None
+            if table != expected:
+                raise BadParameters("code file is marked perfect, but its syndrome table "
+                                    "is missing or wrong")
+        return cls(lat, sphere, perfect, table)
+
+
+def _syndrome_table(lat: Lattice, sphere: ErrorSphere) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Coset label -> error for the whole sphere; the proof of perfectness: the
+    errors fall in distinct cosets of a lattice whose index is the sphere size,
+    so each coset holds exactly one error.  Raises NotPerfect otherwise."""
+    table = {lat.coset_label(err): err for err in enumerate_sphere(sphere)}
+    if not (len(table) == lat.volume == sphere.size):
+        raise NotPerfect(f"{len(table)} distinct syndromes for {sphere.size} errors "
+                         f"and a lattice of index {lat.volume}")
+    return table
 
 
 def perfect_code(n: int, magnitudes: Sequence[int]) -> LatticeCode:
     """Perfect code correcting up to n-1 asymmetric errors with the given
-    per-cell magnitudes; built from the tiling of the matching chair."""
+    per-cell magnitudes, built from a tiling lattice of the matching chair.
+
+    No separate tiling check runs: _syndrome_table proves perfectness from the
+    coset labels of the errors, and raises NotPerfect if they fall short.
+    """
     if n < 2:
         raise BadParameters(f"need n >= 2, got {n}")
     sphere = ErrorSphere.per_cell(tuple(magnitudes))
@@ -160,12 +184,7 @@ def perfect_code(n: int, magnitudes: Sequence[int]) -> LatticeCode:
         lat = splitting_to_lattice(general_chair_splitting(shape))
     except HypothesisViolated:
         lat = chair_lattice(shape)
-    verdict = verify_tiling(lat, shape)
-    if not verdict.ok:  # the tiling construction covers every chair
-        raise AssertionError(f"tiling construction failed: {verdict.reason}")
-    table = {lat.coset_label(err): err for err in enumerate_sphere(sphere)}
-    assert len(table) == int(lat.volume)
-    return LatticeCode(lat, sphere, True, table)
+    return LatticeCode(lat, sphere, True, _syndrome_table(lat, sphere))
 
 
 def decode(code: LatticeCode, received: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -203,7 +222,7 @@ def extract_alphabet_code(code: LatticeCode, sigma: int, budget: int | None = No
             if any(v >= sigma for v in y):
                 continue
             if y in reached and reached[y] != w:
-                raise AssertionError(f"codewords {reached[y]} and {w} are confusable at {y}")
+                raise NotPerfect(f"codewords {reached[y]} and {w} are confusable at {y}")
             reached[y] = w
     return AlphabetCode(sigma, n, tuple(words))
 
@@ -311,32 +330,28 @@ def exhaustive_perfect_search(n: int, t: int, ell: int, budget: int | None = Non
     """Search every integer lattice of index = sphere size for perfect codes.
 
     Candidates are enumerated through their Hermite normal forms (complete and
-    duplicate-free).  Lattices with a short vector violating the sign-count
-    condition max(N+, N-) >= t+1 are discarded early; the survivors get the
-    full packing check against the sphere's difference set.  An empty result
-    is a constructive nonexistence proof at these parameters.
+    duplicate-free).  A candidate is a perfect code exactly when the sphere's
+    points reduce to distinct residues modulo its HNF: a repeated residue is a
+    nonzero sphere difference in the lattice, and distinct residues fill all
+    cosets of a lattice whose index is the sphere size.  Reduction stops at
+    the first repeated residue.  An empty result is a constructive
+    nonexistence proof at these parameters.
     """
     s = sphere_size(n, t, ell)
     check_budget(_index_sublattice_count(n, s), budget, "sublattice search")
     sphere_pts = enumerate_sphere(ErrorSphere.uniform(n, t, ell), budget)
-    diffs = sorted({tuple(a - b for a, b in zip(p, q)) for p in sphere_pts for q in sphere_pts} - {(0,) * n})
     found: list[IntMatrix] = []
     examined = 0
     for h in _hnf_candidates(n, s):
         examined += 1
-        lat = Lattice(h.transpose().entries)  # rows of the lattice = columns of h
-        ok = True
-        for x in lattice_points_in_box(lat, [ell] * n):
-            if any(x):
-                np_, nm = n_plus_minus(x)
-                if np_ <= t and nm <= t:
-                    ok = False
-                    break
-        if not ok:
-            continue
-        if any(lat.member(d) for d in diffs):
-            continue
-        found.append(h)
+        seen: set[tuple[int, ...]] = set()
+        for p in sphere_pts:
+            r = hnf_residue(h.entries, p)
+            if r in seen:
+                break
+            seen.add(r)
+        else:
+            found.append(h)
     found.sort(key=lambda m: m.entries)
     status = "Found" if found else "NoPerfectCode"
     return SearchVerdict(status, examined=examined, found=tuple(found))

@@ -46,7 +46,7 @@ class HypothesisViolated(ChairCodesError):
 
 
 class NotPerfect(ChairCodesError):
-    """Decoding requested on a code whose lattice is not a tiling."""
+    """A code's lattice is not a perfect code (or not a packing) for its sphere."""
 
 
 class NotATiling(ChairCodesError):

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import NonSquare, NotInvertible, SingularMatrix
 
@@ -138,6 +139,24 @@ def hermite_normal_form(m: IntMatrix) -> IntMatrix:
             if q:
                 h[j] = [x - q * y for x, y in zip(h[j], col_i)]
     return IntMatrix(tuple(zip(*h)))
+
+
+def hnf_residue(h: tuple[tuple[int, ...], ...], p: Sequence[int]) -> tuple[int, ...]:
+    """Reduce p modulo the lattice spanned by the columns of the lower-triangular
+    h (a Hermite normal form, given row-wise).
+
+    The result is the unique r = p mod the lattice with 0 <= r_i < h_ii, so two
+    points share a coset exactly when their residues are equal, and p is a
+    lattice vector exactly when its residue is zero.
+    """
+    r = list(p)
+    n = len(r)
+    for i in range(n):
+        c = r[i] // h[i][i]
+        if c:
+            for k in range(i, n):
+                r[k] -= c * h[k][i]
+    return tuple(r)
 
 
 def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:

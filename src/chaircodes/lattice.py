@@ -85,6 +85,7 @@ class Lattice:
         self._canonical: IntMatrix | None = None
         self._snf: tuple[IntMatrix, IntMatrix, IntMatrix] | None = None
         self._label_data: tuple[tuple[tuple[int, ...], ...], tuple[int, ...]] | None = None
+        self._scaled: Lattice | None = None  # integer model of a rational lattice
 
     def _denominator_lcm(self) -> int:
         d = 1
@@ -111,7 +112,9 @@ class Lattice:
         """The lattice scaled by the denominator lcm (identity when integral)."""
         if self.is_integer:
             return self
-        return Lattice(self._int_rows)
+        if self._scaled is None:
+            self._scaled = Lattice(self._int_rows)
+        return self._scaled
 
     def canonical(self) -> IntMatrix:
         """Canonical form: column-style HNF of the transposed generator."""
@@ -155,41 +158,21 @@ class Lattice:
         return tuple(a % m for a, m in zip(acc, divs))
 
     def member(self, p: Sequence[Scalar]) -> bool:
-        """Whether p is an integer combination of the basis rows (exact solve)."""
+        """Whether p is an integer combination of the basis rows: s*p must be
+        an integer vector whose residue modulo the HNF of the integer model s*L
+        is zero, s being the denominator lcm."""
         if len(p) != self.n:
             raise DimensionMismatch(f"point has {len(p)} coordinates, lattice is {self.n}-dimensional")
-        if self.is_integer:
-            if not all(isinstance(x, int) or (isinstance(x, Fraction) and x.denominator == 1) for x in p):
-                return False
-            label = self.coset_label([int(x) for x in p])
-            return all(r == 0 for r in label)
-        coeffs = self._solve(p)
-        return coeffs is not None and all(c.denominator == 1 for c in coeffs)
+        sp = [x * self.scale for x in p]
+        if any(x.denominator != 1 for x in sp):
+            return False
+        h = self.integer_model().canonical().entries
+        return not any(exactmath.hnf_residue(h, [int(x) for x in sp]))
 
-    def _solve(self, p: Sequence[Scalar]) -> list[Fraction] | None:
-        # solve y @ generator = p exactly over the rationals
-        n = self.n
-        a = [[Fraction(self.generator[i][j]) for i in range(n)] for j in range(n)]
-        b = [Fraction(x) for x in p]
-        perm = list(range(n))
-        for k in range(n):
-            piv = next((i for i in range(k, n) if a[k][i] != 0), None)
-            if piv is None:
-                return None
-            if piv != k:
-                for row in a:
-                    row[k], row[piv] = row[piv], row[k]
-                perm[k], perm[piv] = perm[piv], perm[k]
-            for j in range(n):
-                if j != k and a[k][j] != 0:
-                    f = a[k][j] / a[k][k]
-                    for r in range(n):
-                        a[r][j] -= f * a[r][k]
-                    b[j] -= f * b[k]
-        sol = [Fraction(0)] * n
-        for k in range(n):
-            sol[perm[k]] = b[k] / a[k][k]
-        return sol
+    def wraps(self, q: int) -> bool:
+        """Whether q*e_i is a lattice vector for every axis (q Z^n inside the
+        lattice), so that coordinates may be taken modulo q."""
+        return all(self.member([q if j == i else 0 for j in range(self.n)]) for i in range(self.n))
 
     def same_lattice(self, other: Lattice) -> bool:
         if self.n != other.n:
@@ -229,19 +212,6 @@ def chair_lattice(c: Chair) -> Lattice:
         j = (i + 1) % n
         rows[i][j] = rows[i][j] - c.notch[j]
     return Lattice(rows)
-
-
-def _triangular_solve(cols: tuple[tuple[int, ...], ...], target: Sequence[int]) -> list[int] | None:
-    """Solve L @ x = target for lower-triangular integer L given row-wise; None
-    when the solution is not integral."""
-    n = len(cols)
-    x = [0] * n
-    for i in range(n):
-        r = target[i] - sum(cols[i][j] * x[j] for j in range(i))
-        if r % cols[i][i] != 0:
-            return None
-        x[i] = r // cols[i][i]
-    return x
 
 
 def lattice_points_in_box(lat: Lattice, max_abs: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -312,22 +282,20 @@ def verify_packing(lat: Lattice, c: Chair) -> Verdict:
 
 
 def verify_tiling(lat: Lattice, c: Chair) -> Verdict:
-    """Packing plus exact volume match; for discrete chairs additionally check
-    that the chair points hit every coset exactly once."""
+    """Packing plus an exact volume match, which together are a tiling.
+
+    Packing puts the chair's points in distinct cosets: two points p != q of
+    one coset would make x = p - q a lattice vector with |x_i| < l_i whose
+    copy of the chair meets the one at 0 in p, and the packing walk reports
+    every such x.  With the lattice's index equal to the chair's volume those
+    distinct cosets are all of them, so the copies cover space exactly once.
+    Integer and rational inputs follow the same rule.
+    """
     packing = verify_packing(lat, c)
     if not packing.ok:
         return packing
     if lat.volume != volume(c):
         return Verdict.failed("volume mismatch", lattice_volume=lat.volume, chair_volume=volume(c))
-    if c.is_discrete and lat.is_integer:
-        seen: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for p in enumerate_points(c):
-            label = lat.coset_label(p)
-            if label in seen:
-                return Verdict.failed("two chair points share a coset", (seen[label], p))
-            seen[label] = p
-        if len(seen) != volume(c):
-            return Verdict.failed("coset count does not match chair volume")
     return Verdict.passed()
 
 
@@ -349,12 +317,10 @@ def torus_tiling_oracle(lat: Lattice, c: Chair, m: int | None = None, budget: in
     m = vol if m is None else int(m)
     if m < 1:
         raise BadModulus(f"torus modulus must be >= 1, got {m}")
+    if not lat.wraps(m):
+        raise BadModulus(f"{m}*e_i is not a lattice point for some axis i")
     n = lat.n
     h = lat.canonical().entries
-    for i in range(n):
-        target = [m if r == i else 0 for r in range(n)]
-        if _triangular_solve(h, target) is None:
-            raise BadModulus(f"{m}*e_{i + 1} is not a lattice point")
     cells = m**n
     check_budget(cells, budget, "torus grid")
     if m > 2**25 or cells >= 2**62:

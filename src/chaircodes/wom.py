@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from typing import IO, Sequence
 
 from .budget import check_budget
-from .chair import Chair, enumerate_points, iter_box
+from .chair import Chair, enumerate_points, iter_box, volume
 from .errors import BadParameters, NotATiling
-from .lattice import Lattice, Verdict, verify_tiling
+from .lattice import Lattice, Verdict
 
 
 @dataclass(eq=False)
@@ -41,24 +41,23 @@ class Coloring:
 def build_coloring(lat: Lattice, c: Chair, q: int, budget: int | None = None) -> Coloring:
     """Color the q x ... x q grid by coset; colors are indexed by the
     lexicographic rank of each coset's chair-point representative, so state 0
-    always gets color 0."""
+    always gets color 0.
+
+    The label index is the tiling proof: the lattice's index equals the
+    chair's volume and the chair's points have that many distinct labels, so
+    every coset holds exactly one chair point.  Raises NotATiling otherwise.
+    """
     if q < 1:
         raise BadParameters(f"need q >= 1, got {q}")
-    verdict = verify_tiling(lat, c)
-    if not verdict.ok:
-        raise NotATiling(f"lattice does not tile the chair: {verdict.reason}")
-    check_budget(q**c.n, budget, "coloring grid")
+    vol = volume(c)
+    if lat.volume != vol:
+        raise NotATiling(f"lattice index {lat.volume} differs from chair volume {vol}")
     index = {lat.coset_label(p): i for i, p in enumerate(enumerate_points(c, budget))}
+    if len(index) != vol:
+        raise NotATiling(f"the chair's {vol} points fall in only {len(index)} cosets")
+    check_budget(q**c.n, budget, "coloring grid")
     colors = tuple(index[lat.coset_label(p)] for p in iter_box([q] * c.n))
     return Coloring(q, c.n, len(index), colors, lat, c)
-
-
-def _torus_compatible(col: Coloring) -> bool:
-    q = col.q
-    return all(
-        col.lattice.member([q if j == i else 0 for j in range(col.n)])
-        for i in range(col.n)
-    )
 
 
 def check_write_guarantee(col: Coloring, c: Chair) -> Verdict:
@@ -73,7 +72,7 @@ def check_write_guarantee(col: Coloring, c: Chair) -> Verdict:
     reps = enumerate_points(c)
     sides = c.int_sides()
     q = col.q
-    torus = _torus_compatible(col)
+    torus = col.lattice.wraps(q)
     anchors = 0
     if torus:
         for p in iter_box([q] * col.n):

@@ -12,7 +12,9 @@ from fractions import Fraction
 from itertools import product
 
 from chaircodes.chair import Chair
+from chaircodes.codes import SearchVerdict, _hnf_candidates, sphere_size
 from chaircodes.exactmath import IntMatrix
+from chaircodes.lattice import Lattice
 
 
 def cofactor_determinant(rows: list[list[int]]) -> int:
@@ -91,3 +93,22 @@ def all_valid_chairs(n: int, max_side: int):
             side_choices.append((l, k))
     for combo in product(side_choices, repeat=n):
         yield Chair(tuple(l for l, _ in combo), tuple(k for _, k in combo))
+
+
+def reference_perfect_search(n: int, t: int, ell: int) -> SearchVerdict:
+    """Exhaustive perfect-code search by lattice membership: a candidate of
+    index |S| is perfect when no nonzero difference of two sphere points is a
+    lattice vector.  Builds a full Lattice per candidate and decides membership
+    by its Smith-form coset label, never by the HNF residue that the library's
+    search and Lattice.member rely on."""
+    sphere = [e for e in product(range(ell + 1), repeat=n) if sum(1 for x in e if x) <= t]
+    diffs = {tuple(a - b for a, b in zip(p, q)) for p in sphere for q in sphere} - {(0,) * n}
+    found = []
+    examined = 0
+    for h in _hnf_candidates(n, sphere_size(n, t, ell)):
+        examined += 1
+        lat = Lattice(h.transpose().entries)  # rows of the lattice = columns of h
+        if all(any(lat.coset_label(d)) for d in diffs):
+            found.append(h)
+    found.sort(key=lambda m: m.entries)
+    return SearchVerdict("Found" if found else "NoPerfectCode", examined=examined, found=tuple(found))

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import chaircodes
 from chaircodes.cli import main
 
 
@@ -160,6 +163,19 @@ class TestDecode:
         assert rc == 3
         assert json.loads(err)["error"]["type"] == "NotPerfect"
 
+    @pytest.mark.parametrize("tamper", ["swap", "drop"])
+    def test_tampered_table_exits_2(self, capsys, code_file, tamper):
+        data = json.loads(code_file.read_text())
+        table = data["table"]
+        if tamper == "swap":
+            table["1"], table["2"] = table["2"], table["1"]
+        else:
+            del table["1"]
+        code_file.write_text(json.dumps(data))
+        rc, _, err = run_cli(capsys, "decode", "--code", str(code_file), "--received", "1,0,0")
+        assert rc == 2
+        assert json.loads(err)["error"]["type"] == "BadParameters"
+
 
 class TestSearch:
     def test_divisibility(self, capsys):
@@ -246,21 +262,21 @@ class TestVerdictFidelity:
         assert report["verdicts"]["splitting"] == verify_splitting(c, s).to_json_dict()
 
 
+def run_module(*argv):
+    # the child imports the same chaircodes as this process, installed or not
+    src = str(Path(chaircodes.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "chaircodes.cli", *argv],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+
+
 class TestSubprocessEntry:
     def test_module_invocation(self, tmp_path):
-        proc = subprocess.run(
-            [sys.executable, "-m", "chaircodes.cli", "construct", "--l", "2,2", "--k", "1,1"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_module("construct", "--l", "2,2", "--k", "1,1")
         assert proc.returncode == 0
         report = json.loads(proc.stdout)
         assert report["artifacts"]["volume"] == "3"
 
     def test_unknown_subcommand(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "chaircodes.cli", "frobnicate"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_module("frobnicate")
         assert proc.returncode == 2

@@ -20,6 +20,8 @@ from chaircodes.codes import (
 from chaircodes.errors import BadParameters, BudgetExceeded, NotPerfect
 from chaircodes.lattice import Lattice, lattice_points_in_box, verify_tiling
 
+from oracles import reference_perfect_search
+
 
 class TestSphereSize:
     def test_matches_chair_volume_formula(self):
@@ -101,6 +103,12 @@ class TestPerfectCode:
         assert restored.decode_table == code.decode_table
         assert restored.perfect
 
+    def test_json_marked_perfect_needs_perfect_lattice(self):
+        data = perfect_code(3, (1, 1, 1)).to_json_dict()
+        data["generator"] = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+        with pytest.raises(BadParameters):
+            LatticeCode.from_json_dict(data)
+
     def test_wraps_alphabet(self):
         code = perfect_code(3, (1, 1, 1))  # volume 7, cyclic quotient
         assert code.wraps_alphabet(7)
@@ -176,6 +184,11 @@ class TestAlphabetExtraction:
         code = perfect_code(3, (1, 1, 1))
         with pytest.raises(BudgetExceeded):
             extract_alphabet_code(code, 200, budget=10**4)
+
+    def test_confusable_codewords_rejected(self):
+        code = LatticeCode(Lattice([[1, 0], [0, 1]]), ErrorSphere.uniform(2, 1, 1), perfect=False)
+        with pytest.raises(NotPerfect, match=r"codewords \(0, 0\) and \(0, 1\) are confusable"):
+            extract_alphabet_code(code, 2)
 
 
 class TestNPlusMinus:
@@ -262,6 +275,12 @@ class TestExhaustiveSearch:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             exhaustive_perfect_search(4, 2, 1, budget=100)
+
+    @pytest.mark.parametrize("params", [(2, 1, 1), (3, 2, 1), (4, 2, 1), (4, 1, 2), (5, 1, 1)])
+    def test_matches_membership_reference(self, params):
+        # same status, examined count and found bases as a full Lattice per
+        # candidate tested against the sphere's difference set
+        assert exhaustive_perfect_search(*params) == reference_perfect_search(*params)
 
 
 class TestAlphabetCodeType:

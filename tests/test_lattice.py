@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from chaircodes.chair import Chair, enumerate_points, volume
+from chaircodes.codes import _hnf_candidates
 from chaircodes.errors import BadModulus, BudgetExceeded, NonIntegerLattice, NotDiscrete, SingularMatrix
 from chaircodes.lattice import (
     Lattice,
@@ -14,7 +15,14 @@ from chaircodes.lattice import (
     verify_tiling,
 )
 
-from oracles import all_valid_chairs, random_chair, random_rational_chair, random_unimodular
+from oracles import (
+    all_valid_chairs,
+    brute_force_intersects,
+    chair_point_set,
+    random_chair,
+    random_rational_chair,
+    random_unimodular,
+)
 
 
 class TestLatticeBasics:
@@ -269,3 +277,25 @@ class TestExhaustiveSmallGrid:
             lat = chair_lattice(c)
             assert verify_tiling(lat, c).ok
             assert torus_tiling_oracle(lat, c).ok
+
+
+class TestEqualVolumeSublattices:
+    def test_packing_plus_volume_agrees_with_torus_oracle(self):
+        # every sublattice whose index is the chair's volume: verify_tiling
+        # decides by packing alone here, so any coset clash must surface as
+        # a real overlap witness
+        rng = random.Random(47)
+        chairs = list(all_valid_chairs(2, 5)) + [random_chair(rng, 3, max_side=3) for _ in range(6)]
+        checked = rejected = 0
+        for c in chairs:
+            points = chair_point_set(c)
+            for h in _hnf_candidates(c.n, volume(c)):
+                lat = Lattice(h.transpose().entries)
+                verdict = verify_tiling(lat, c)
+                assert verdict.ok == torus_tiling_oracle(lat, c).ok
+                if not verdict.ok:
+                    w = verdict.witness
+                    assert any(w) and lat.member(w) and brute_force_intersects(points, w)
+                    rejected += 1
+                checked += 1
+        assert checked > 4000 and 0 < rejected < checked
