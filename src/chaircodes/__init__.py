@@ -3,8 +3,9 @@
 Modules:
   exactmath  exact integer matrix algebra (determinant, HNF, SNF, inverses)
   chair      the notched-box shape, point enumeration, overlap criterion
-  lattice    lattices, quotient labels, packing / tiling verifiers
-  splitting  group-residue constructions and lattice conversions
+  lattice    lattices, quotient labels (SplittingSequence), packing / tiling
+             verifiers
+  splitting  splitting constructions and lattice conversions
   codes      limited-magnitude asymmetric codes, decoding, nonexistence
   wom        write-once-memory coset colorings
   cli        command-line interface
@@ -13,15 +14,13 @@ Modules:
 from .chair import Chair
 from .codes import AlphabetCode, ErrorSphere, LatticeCode, SearchVerdict
 from .exactmath import IntMatrix
-from .lattice import Lattice, Verdict, chair_lattice
-from .splitting import CompositeGroupLabeling, SplittingSequence
+from .lattice import Lattice, SplittingSequence, Verdict, chair_lattice
 from .wom import Coloring
 
 __all__ = [
     "AlphabetCode",
     "Chair",
     "Coloring",
-    "CompositeGroupLabeling",
     "ErrorSphere",
     "IntMatrix",
     "Lattice",

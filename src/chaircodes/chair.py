@@ -8,10 +8,9 @@ enumerated point by point.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 from .budget import check_budget
 from .errors import DimensionMismatch, InvalidChair, NotDiscrete
@@ -74,21 +73,6 @@ class Chair:
         if not self.is_discrete:
             raise NotDiscrete("chair has non-integer side lengths")
         return self.notch  # type: ignore[return-value]
-
-    def scaled(self, factor: int) -> Chair:
-        """Chair with every side multiplied by a positive integer factor."""
-        return Chair(
-            tuple(as_exact(l * factor) for l in self.sides),
-            tuple(as_exact(k * factor) for k in self.notch),
-        )
-
-    def denominator_lcm(self) -> int:
-        """Least common multiple of all side denominators (1 when discrete)."""
-        d = 1
-        for x in self.sides + self.notch:
-            if isinstance(x, Fraction):
-                d = d * x.denominator // math.gcd(d, x.denominator)
-        return d
 
     def to_json_dict(self) -> dict:
         return {"L": [str(x) for x in self.sides], "K": [str(x) for x in self.notch]}
@@ -160,20 +144,3 @@ def shifted_copies_intersect(c: Chair, x: Sequence[Scalar]) -> bool:
     if not any(xi < l - k for xi, l, k in zip(x, c.sides, c.notch)):
         return False
     return any(xi > -(l - k) for xi, l, k in zip(x, c.sides, c.notch))
-
-
-def iter_box(bounds: Iterable[int]) -> Iterator[tuple[int, ...]]:
-    """All integer points with 0 <= x_i < bounds[i], lexicographic."""
-    bounds = tuple(bounds)
-    n = len(bounds)
-    point = [0] * n
-
-    def rec(i: int) -> Iterator[tuple[int, ...]]:
-        if i == n:
-            yield tuple(point)
-            return
-        for x in range(bounds[i]):
-            point[i] = x
-            yield from rec(i + 1)
-
-    return rec(0)

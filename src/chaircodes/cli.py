@@ -33,8 +33,8 @@ from .errors import (
     NotPerfect,
     SingularMatrix,
 )
-from .lattice import Lattice, chair_lattice, torus_tiling_oracle, verify_tiling
-from .splitting import SplittingSequence, general_chair_splitting, verify_splitting
+from .lattice import Lattice, SplittingSequence, chair_lattice, torus_tiling_oracle, verify_tiling
+from .splitting import general_chair_splitting, verify_splitting
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -149,8 +149,9 @@ def cmd_construct(args: argparse.Namespace) -> int:
         for row in lat.generator:
             lines.append("generator," + ",".join(str(x) for x in row))
         if seq is not None:
-            lines.append(f"m,{seq.modulus}")
-            lines.append("beta," + ",".join(str(b) for b in seq.beta))
+            seq_json = seq.to_json_dict()
+            lines.append(f"m,{seq_json['m']}")
+            lines.append("beta," + ",".join(seq_json["beta"]))
         lines.append(f"tiling,{'ok' if verdict.ok else 'fail'}")
         print("\n".join(lines))
         return EXIT_OK
@@ -165,7 +166,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.m is not None or args.beta is not None:
         if args.m is None or args.beta is None:
             raise BadParameters("--m and --beta must be given together")
-        seq = SplittingSequence(int(args.m), _parse_int_vector(args.beta))
+        seq = SplittingSequence.cyclic(int(args.m), _parse_int_vector(args.beta))
         verdicts["splitting"] = verify_splitting(c, seq)
         lat = None
     else:

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterator, Sequence
 
 from .budget import check_budget
-from .chair import Chair, iter_box
+from .chair import Chair
 from .errors import BadParameters, HypothesisViolated, NotPerfect
 from .exactmath import IntMatrix, hnf_residue
 from .lattice import Lattice, chair_lattice
@@ -138,7 +139,9 @@ class LatticeCode:
         sphere = ErrorSphere(int(data["n"]), int(data["t"]),
                              tuple(int(m) for m in data["magnitudes"]))
         lat = Lattice(data["generator"])
-        perfect = bool(data["perfect"])
+        perfect = data["perfect"]
+        if not isinstance(perfect, bool):
+            raise BadParameters(f"perfect must be a JSON boolean, got {perfect!r}")
         table = None
         if "table" in data:
             table = {}
@@ -213,7 +216,7 @@ def extract_alphabet_code(code: LatticeCode, sigma: int, budget: int | None = No
         raise BadParameters(f"need sigma >= 1, got {sigma}")
     n = code.sphere.n
     check_budget(sigma**n, budget, "alphabet extraction")
-    words = [p for p in iter_box([sigma] * n) if code.lattice.member(p)]
+    words = [p for p in product(range(sigma), repeat=n) if code.lattice.member(p)]
     reached: dict[tuple[int, ...], tuple[int, ...]] = {}
     errors = enumerate_sphere(code.sphere, budget)
     for w in words:
@@ -306,16 +309,17 @@ def _ordered_factorizations(s: int, n: int) -> Iterator[tuple[int, ...]]:
                 yield (d,) + rest
 
 
-def _hnf_candidates(n: int, s: int) -> Iterator[IntMatrix]:
-    # lower-triangular column bases: diagonal product s, row entries left of
-    # the diagonal reduced modulo it — each index-s sublattice appears once
+def _hnf_candidates(n: int, s: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    # lower-triangular column bases as plain row tuples: diagonal product s,
+    # entries left of the diagonal reduced modulo it — each index-s sublattice
+    # appears once
     for diag in _ordered_factorizations(s, n):
         slots = [(i, j) for i in range(n) for j in range(i)]
         h = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
 
-        def rec(k: int) -> Iterator[IntMatrix]:
+        def rec(k: int) -> Iterator[tuple[tuple[int, ...], ...]]:
             if k == len(slots):
-                yield IntMatrix(tuple(map(tuple, h)))
+                yield tuple(map(tuple, h))
                 return
             i, j = slots[k]
             for val in range(diag[i]):
@@ -346,12 +350,12 @@ def exhaustive_perfect_search(n: int, t: int, ell: int, budget: int | None = Non
         examined += 1
         seen: set[tuple[int, ...]] = set()
         for p in sphere_pts:
-            r = hnf_residue(h.entries, p)
+            r = hnf_residue(h, p)
             if r in seen:
                 break
             seen.add(r)
         else:
-            found.append(h)
+            found.append(IntMatrix(h))
     found.sort(key=lambda m: m.entries)
     status = "Found" if found else "NoPerfectCode"
     return SearchVerdict(status, examined=examined, found=tuple(found))

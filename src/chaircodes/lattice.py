@@ -5,12 +5,16 @@ A lattice is stored by its generator matrix whose *rows* are the basis
 vectors.  The cached canonical form is the Hermite normal form of the
 transposed generator (columns as basis), so two generators describe the same
 lattice exactly when their canonical forms are equal.  Quotient structure
-Z^n / lattice comes from the Smith normal form of the generator.
+Z^n / lattice comes from the Smith normal form of the generator, as a
+SplittingSequence: the labels of the unit vectors in Z_d1 + ... + Z_dk.
+A rational lattice L is handled through its integer model sL, s being the
+least integer with sL inside Z^n.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -22,6 +26,7 @@ from .budget import check_budget
 from .chair import Chair, Scalar, as_exact, enumerate_points, shifted_copies_intersect, volume
 from .errors import (
     BadModulus,
+    BadParameters,
     BudgetExceeded,
     DimensionMismatch,
     NonIntegerLattice,
@@ -64,6 +69,69 @@ def _point_json(p: tuple) -> list:
     return [_point_json(x) if isinstance(x, tuple) else str(x) for x in p]
 
 
+@dataclass(frozen=True)
+class SplittingSequence:
+    """Labels of the unit vectors e_1..e_n in G = Z_d1 + ... + Z_dk.
+
+    residues[j] holds the labels of e_1..e_n in the factor Z_dj, reduced
+    modulo dj; a cyclic group Z_m is the single factor (m,).  A chair splits
+    G when its points take pairwise distinct values.  permutation records the
+    coordinate order a construction used (identity by default); its length
+    is n, so a labelling of the trivial group with no factors must give it.
+    """
+
+    divisors: tuple[int, ...]
+    residues: tuple[tuple[int, ...], ...]
+    permutation: tuple[int, ...] = ()
+
+    def __post_init__(self) -> None:
+        divisors = tuple(int(d) for d in self.divisors)
+        for d in divisors:
+            if d < 1:
+                raise BadParameters(f"modulus must be >= 1, got {d}")
+        if len(self.residues) != len(divisors):
+            raise BadParameters(f"{len(divisors)} group factors but {len(self.residues)} residue rows")
+        residues = tuple(tuple(int(b) % d for b in row) for row, d in zip(self.residues, divisors))
+        perm = tuple(self.permutation) or tuple(range(len(residues[0]) if residues else 0))
+        if sorted(perm) != list(range(len(perm))):
+            raise BadParameters("permutation must reorder 0..n-1")
+        if any(len(row) != len(perm) for row in residues):
+            raise BadParameters("every group factor needs one residue per coordinate")
+        object.__setattr__(self, "divisors", divisors)
+        object.__setattr__(self, "residues", residues)
+        object.__setattr__(self, "permutation", perm)
+        # zipped once: value() is the inner loop of splitting verification
+        object.__setattr__(self, "_factors", tuple(zip(residues, divisors)))
+
+    @classmethod
+    def cyclic(cls, m: int, beta: Sequence[int], permutation: Sequence[int] = ()) -> SplittingSequence:
+        """Residues beta_1..beta_n over the cyclic group Z_m."""
+        return cls((m,), (tuple(beta),), tuple(permutation))
+
+    @property
+    def n(self) -> int:
+        return len(self.permutation)
+
+    @property
+    def order(self) -> int:
+        return math.prod(self.divisors)
+
+    def value(self, p: Sequence[int]) -> tuple[int, ...]:
+        """Image of p in G: its dot product with each factor's residues."""
+        return tuple([sum(map(operator.mul, p, row)) % d for row, d in self._factors])
+
+    def to_json_dict(self) -> dict:
+        """The m/beta/permutation form; only a one-factor group has one."""
+        if len(self.divisors) > 1:
+            raise BadParameters(f"a group with {len(self.divisors)} factors has no m/beta form")
+        (beta,) = self.residues or ((0,) * self.n,)
+        return {
+            "m": str(self.order),
+            "beta": [str(b) for b in beta],
+            "permutation": list(self.permutation),
+        }
+
+
 class Lattice:
     """Full-rank lattice in R^n given by basis rows; immutable after construction."""
 
@@ -76,7 +144,7 @@ class Lattice:
             raise NonSquare("generator matrix must be nonempty")
         self.generator: tuple[tuple[Scalar, ...], ...] = gen
         self.n = n
-        self.scale = self._denominator_lcm()
+        self.scale = math.lcm(*(x.denominator for row in gen for x in row))
         self._int_rows = [[int(x * self.scale) for x in row] for row in gen]
         det_scaled = exactmath.determinant(IntMatrix(tuple(map(tuple, self._int_rows))))
         if det_scaled == 0:
@@ -84,16 +152,8 @@ class Lattice:
         self._det = Fraction(det_scaled, self.scale**n)
         self._canonical: IntMatrix | None = None
         self._snf: tuple[IntMatrix, IntMatrix, IntMatrix] | None = None
-        self._label_data: tuple[tuple[tuple[int, ...], ...], tuple[int, ...]] | None = None
+        self._quotient: SplittingSequence | None = None
         self._scaled: Lattice | None = None  # integer model of a rational lattice
-
-    def _denominator_lcm(self) -> int:
-        d = 1
-        for row in self.generator:
-            for x in row:
-                if isinstance(x, Fraction):
-                    d = d * x.denominator // math.gcd(d, x.denominator)
-        return d
 
     @property
     def is_integer(self) -> bool:
@@ -109,7 +169,8 @@ class Lattice:
         return IntMatrix(tuple(map(tuple, self._int_rows)))
 
     def integer_model(self) -> Lattice:
-        """The lattice scaled by the denominator lcm (identity when integral)."""
+        """The lattice scaled by scale, the least s with sL inside Z^n (itself
+        when integral)."""
         if self.is_integer:
             return self
         if self._scaled is None:
@@ -133,15 +194,19 @@ class Lattice:
         _, d, _ = self.smith()
         return tuple(d.entries[i][i] for i in range(self.n))
 
-    def _labeling(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-        # columns of V restricted to nontrivial divisors, plus those divisors
-        if self._label_data is None:
+    def labeling(self) -> SplittingSequence:
+        """Z^n / lattice as labels of the unit vectors: with U A V = D the
+        Smith form of the generator A, e_i maps to V[i][j] modulo each
+        nontrivial divisor d_j = D[j][j].  Its kernel is the lattice."""
+        if self._quotient is None:
             _, d, v = self.smith()
             keep = [j for j in range(self.n) if d.entries[j][j] != 1]
-            cols = tuple(tuple(v.entries[i][j] for j in keep) for i in range(self.n))
-            divs = tuple(d.entries[j][j] for j in keep)
-            self._label_data = (cols, divs)
-        return self._label_data
+            self._quotient = SplittingSequence(
+                tuple(d.entries[j][j] for j in keep),
+                tuple(tuple(row[j] for row in v.entries) for j in keep),
+                tuple(range(self.n)),
+            )
+        return self._quotient
 
     def coset_label(self, p: Sequence[int]) -> tuple[int, ...]:
         """Image of p in Z^n / lattice, one residue per nontrivial divisor."""
@@ -149,18 +214,12 @@ class Lattice:
             raise NonIntegerLattice("coset labels need an integer lattice")
         if len(p) != self.n:
             raise DimensionMismatch(f"point has {len(p)} coordinates, lattice is {self.n}-dimensional")
-        cols, divs = self._labeling()
-        acc = [0] * len(divs)
-        for x, row in zip(p, cols):
-            if x:
-                for j, c in enumerate(row):
-                    acc[j] += x * c
-        return tuple(a % m for a, m in zip(acc, divs))
+        return self.labeling().value(p)
 
     def member(self, p: Sequence[Scalar]) -> bool:
         """Whether p is an integer combination of the basis rows: s*p must be
         an integer vector whose residue modulo the HNF of the integer model s*L
-        is zero, s being the denominator lcm."""
+        is zero, s being the scale."""
         if len(p) != self.n:
             raise DimensionMismatch(f"point has {len(p)} coordinates, lattice is {self.n}-dimensional")
         sp = [x * self.scale for x in p]
@@ -175,14 +234,12 @@ class Lattice:
         return all(self.member([q if j == i else 0 for j in range(self.n)]) for i in range(self.n))
 
     def same_lattice(self, other: Lattice) -> bool:
-        if self.n != other.n:
-            return False
-        if self.is_integer and other.is_integer:
-            return self.canonical() == other.canonical()
-        s = self.scale * other.scale // math.gcd(self.scale, other.scale)
-        a = Lattice([[x * s for x in row] for row in self.generator])
-        b = Lattice([[x * s for x in row] for row in other.generator])
-        return a.canonical() == b.canonical()
+        """Equal lattices have equal scales, hence equal integer models."""
+        return (
+            self.n == other.n
+            and self.scale == other.scale
+            and self.integer_model().canonical() == other.integer_model().canonical()
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Lattice):
@@ -253,31 +310,24 @@ def lattice_points_in_box(lat: Lattice, max_abs: Sequence[int]) -> Iterator[tupl
     return rec(0)
 
 
-def _scaled_pair(lat: Lattice, c: Chair) -> tuple[Lattice, Chair, int]:
-    """Common-denominator integer model of a (lattice, chair) pair."""
-    s = lat.scale
-    d = c.denominator_lcm()
-    s = s * d // math.gcd(s, d)
-    if s == 1:
-        return lat, c, 1
-    return Lattice([[x * s for x in row] for row in lat.generator]), c.scaled(s), s
-
-
 def verify_packing(lat: Lattice, c: Chair) -> Verdict:
     """Check that chair copies at lattice points are pairwise disjoint.
 
     Every nonzero lattice point in the open box (-l_i, l_i) is tested with the
-    closed-form intersection criterion; any hit is a counterexample.  Rational
-    inputs are verified on the denominator-cleared integer model.
+    closed-form intersection criterion; any hit is a counterexample.  The walk
+    runs on the integer model sL, whose points x with |x_i| < s*l_i are the
+    shifts x/s to test.
     """
     if lat.n != c.n:
         raise DimensionMismatch(f"lattice is {lat.n}-dimensional, chair is {c.n}-dimensional")
-    ilat, ic, s = _scaled_pair(lat, c)
-    bounds = [l - 1 for l in ic.int_sides()]
-    for x in lattice_points_in_box(ilat, bounds):
-        if any(x) and shifted_copies_intersect(ic, x):
-            witness = tuple(as_exact(Fraction(xi, s)) for xi in x)
-            return Verdict.failed("copies at 0 and witness overlap", witness)
+    s = lat.scale
+    bounds = [math.ceil(s * l) - 1 for l in c.sides]
+    for x in lattice_points_in_box(lat.integer_model(), bounds):
+        if not any(x):
+            continue
+        shift = x if s == 1 else tuple(as_exact(Fraction(xi, s)) for xi in x)
+        if shifted_copies_intersect(c, shift):
+            return Verdict.failed("copies at 0 and witness overlap", shift)
     return Verdict.passed()
 
 

@@ -1,97 +1,24 @@
-"""Splitting sequences: group-residue representations of chair tilings.
+"""Splittings: group-residue representations of chair tilings.
 
-A chair splits a finite Abelian group G when the dot products of its points
-with a fixed residue sequence are pairwise distinct.  For cyclic G = Z_m the
-sequence is a plain residue vector; quotients with several cyclic factors get
-a per-factor residue vector for each coordinate.  Splittings and integer
-lattice tilings are two views of the same object and both directions of the
-conversion live here.
+A chair splits a finite Abelian group G = Z_d1 + ... + Z_dk when the values of
+its points under a labelling of the unit vectors (a SplittingSequence) are
+pairwise distinct.  A cyclic group Z_m is the one-factor case, where the
+labelling is a plain residue vector beta.  An integer lattice tiles the chair
+exactly when the chair splits Z^n / lattice, so splittings and lattice
+tilings are two views of the same object; both directions of the conversion
+live here.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
 
 from . import exactmath
 from .budget import check_budget
 from .chair import Chair, enumerate_points, volume
 from .errors import BadParameters, HypothesisViolated, NotDiscrete
 from .exactmath import IntMatrix, mod_inverse
-from .lattice import Lattice, Verdict
-
-
-@dataclass(frozen=True)
-class SplittingSequence:
-    """Residues beta_1..beta_n over the cyclic group Z_modulus."""
-
-    modulus: int
-    beta: tuple[int, ...]
-    permutation: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.modulus < 1:
-            raise BadParameters(f"modulus must be >= 1, got {self.modulus}")
-        beta = tuple(int(b) % self.modulus for b in self.beta)
-        perm = tuple(self.permutation) if self.permutation else tuple(range(len(beta)))
-        if sorted(perm) != list(range(len(beta))):
-            raise BadParameters("permutation must reorder 0..n-1")
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "permutation", perm)
-
-    @property
-    def n(self) -> int:
-        return len(self.beta)
-
-    def value(self, p: Sequence[int]) -> int:
-        """Dot product of p with the residues, reduced modulo the group order."""
-        return sum(x * b for x, b in zip(p, self.beta)) % self.modulus
-
-    def to_json_dict(self) -> dict:
-        return {
-            "m": str(self.modulus),
-            "beta": [str(b) for b in self.beta],
-            "permutation": list(self.permutation),
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> SplittingSequence:
-        return cls(int(data["m"]), tuple(int(b) for b in data["beta"]),
-                   tuple(data.get("permutation", ())))
-
-
-@dataclass(frozen=True)
-class CompositeGroupLabeling:
-    """Coordinate labels over a direct sum of cyclic groups Z_d1 + ... + Z_dk.
-
-    vectors[i] is the label of the i-th unit vector, one residue per factor.
-    """
-
-    divisors: tuple[int, ...]
-    vectors: tuple[tuple[int, ...], ...] = ()
-
-    @property
-    def n(self) -> int:
-        return len(self.vectors)
-
-    @property
-    def order(self) -> int:
-        return math.prod(self.divisors)
-
-    def value(self, p: Sequence[int]) -> tuple[int, ...]:
-        acc = [0] * len(self.divisors)
-        for x, vec in zip(p, self.vectors):
-            if x:
-                for j, c in enumerate(vec):
-                    acc[j] += x * c
-        return tuple(a % d for a, d in zip(acc, self.divisors))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "divisors": [str(d) for d in self.divisors],
-            "vectors": [[str(r) for r in vec] for vec in self.vectors],
-        }
+from .lattice import Lattice, SplittingSequence, Verdict
 
 
 def alpha_unit(n: int, ell: int) -> int:
@@ -113,7 +40,7 @@ def uniform_chair_splitting(n: int, ell: int) -> SplittingSequence:
     beta = [1]
     for _ in range(n - 1):
         beta.append(beta[-1] * a % m)
-    return SplittingSequence(m, tuple(beta))
+    return SplittingSequence.cyclic(m, beta)
 
 
 def general_chair_splitting(c: Chair) -> SplittingSequence:
@@ -149,22 +76,19 @@ def general_chair_splitting(c: Chair) -> SplittingSequence:
     beta = [0] * n
     for j, orig in enumerate(perm):
         beta[orig] = beta_internal[j]
-    return SplittingSequence(m, tuple(beta), perm)
+    return SplittingSequence.cyclic(m, beta, perm)
 
 
-def verify_splitting(
-    c: Chair, s: SplittingSequence | CompositeGroupLabeling, budget: int | None = None
-) -> Verdict:
+def verify_splitting(c: Chair, s: SplittingSequence, budget: int | None = None) -> Verdict:
     """Check that the chair points take pairwise distinct values under s."""
     vol = int(volume(c))
     check_budget(vol, budget, "splitting verification")
     if s.n != c.n:
         return Verdict.failed("sequence length does not match chair dimension")
-    order = s.modulus if isinstance(s, SplittingSequence) else s.order
-    if order != vol:
+    if s.order != vol:
         return Verdict.failed("group order does not match chair volume",
-                              group_order=order, chair_volume=vol)
-    seen: dict[object, tuple[int, ...]] = {}
+                              group_order=s.order, chair_volume=vol)
+    seen: dict[tuple[int, ...], tuple[int, ...]] = {}
     for p in enumerate_points(c, budget):
         val = s.value(p)
         if val in seen:
@@ -173,55 +97,37 @@ def verify_splitting(
     return Verdict.passed(values=len(seen))
 
 
-def _labeling_parts(s: SplittingSequence | CompositeGroupLabeling) -> tuple[tuple[int, ...], list[list[int]]]:
-    # (moduli, rows of residues per coordinate), skipping trivial factors
-    if isinstance(s, SplittingSequence):
-        if s.modulus == 1:
-            return (), [[] for _ in s.beta]
-        return (s.modulus,), [[b] for b in s.beta]
-    keep = [j for j, d in enumerate(s.divisors) if d != 1]
-    return tuple(s.divisors[j] for j in keep), [[vec[j] for j in keep] for vec in s.vectors]
-
-
-def splitting_to_lattice(s: SplittingSequence | CompositeGroupLabeling, n: int | None = None) -> Lattice:
-    """Kernel lattice of the labeling: all integer vectors whose value is zero.
+def splitting_to_lattice(s: SplittingSequence, n: int | None = None) -> Lattice:
+    """Kernel lattice of the labelling: all integer vectors whose value is zero.
 
     The kernel basis is read off the integer kernel of the residue rows
-    stacked with the diagonal of group orders.  The lattice volume equals the
-    size of the labeling's image, which can be smaller than the group order
-    when no residue is a unit.
+    stacked with the diagonal of group orders; factors of order 1 add
+    nothing and are skipped.  The lattice volume equals the size of the
+    labelling's image, which can be smaller than the group order when the
+    residues do not generate the group.
     """
     if n is None:
         n = s.n
     elif n != s.n:
         raise BadParameters(f"sequence has {s.n} residues, asked for dimension {n}")
-    moduli, rows = _labeling_parts(s)
-    k = len(moduli)
+    factors = [(d, row) for d, row in zip(s.divisors, s.residues) if d != 1]
+    k = len(factors)
     if k == 0:
         return Lattice(IntMatrix.identity(n).entries)
-    stacked = [
-        tuple(rows[i][j] for i in range(n)) + tuple(moduli[j] if t == j else 0 for t in range(k))
-        for j in range(k)
-    ]
+    stacked = [row + tuple(d if t == j else 0 for t in range(k)) for j, (d, row) in enumerate(factors)]
     kernel = exactmath.integer_kernel(IntMatrix(tuple(stacked)))
-    basis = [row[:n] for row in kernel.entries]
-    return Lattice(basis)
+    return Lattice([row[:n] for row in kernel.entries])
 
 
-def lattice_to_splitting(lat: Lattice) -> SplittingSequence | CompositeGroupLabeling:
-    """Labels of the unit vectors in Z^n / lattice.
+def lattice_to_splitting(lat: Lattice) -> SplittingSequence:
+    """Labels of the unit vectors in Z^n / lattice (Lattice.labeling).
 
-    Cyclic quotients give a residue sequence over Z_volume, scaled so the
-    leading residue becomes 1 whenever it is a unit; other quotients give the
-    per-factor labeling.
+    A cyclic quotient is scaled so that the leading residue becomes 1
+    whenever it is a unit.
     """
-    unit_labels = [lat.coset_label([int(i == j) for j in range(lat.n)]) for i in range(lat.n)]
-    divs = tuple(d for d in lat.divisors if d != 1)
-    if len(divs) <= 1:
-        m = divs[0] if divs else 1
-        beta = tuple(lbl[0] if lbl else 0 for lbl in unit_labels)
-        if m > 1 and math.gcd(beta[0], m) == 1:
-            u = mod_inverse(beta[0], m)
-            beta = tuple(b * u % m for b in beta)
-        return SplittingSequence(m, beta)
-    return CompositeGroupLabeling(divs, tuple(unit_labels))
+    s = lat.labeling()
+    if len(s.divisors) == 1 and math.gcd(s.residues[0][0], s.divisors[0]) == 1:
+        (m,), (beta,) = s.divisors, s.residues
+        u = mod_inverse(beta[0], m)
+        return SplittingSequence.cyclic(m, [b * u % m for b in beta])
+    return s

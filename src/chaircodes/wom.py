@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from itertools import product
 from typing import IO, Sequence
 
 from .budget import check_budget
-from .chair import Chair, enumerate_points, iter_box, volume
+from .chair import Chair, enumerate_points, volume
 from .errors import BadParameters, NotATiling
 from .lattice import Lattice, Verdict
 
@@ -56,7 +57,7 @@ def build_coloring(lat: Lattice, c: Chair, q: int, budget: int | None = None) ->
     if len(index) != vol:
         raise NotATiling(f"the chair's {vol} points fall in only {len(index)} cosets")
     check_budget(q**c.n, budget, "coloring grid")
-    colors = tuple(index[lat.coset_label(p)] for p in iter_box([q] * c.n))
+    colors = tuple(index[lat.coset_label(p)] for p in product(range(q), repeat=c.n))
     return Coloring(q, c.n, len(index), colors, lat, c)
 
 
@@ -75,7 +76,7 @@ def check_write_guarantee(col: Coloring, c: Chair) -> Verdict:
     torus = col.lattice.wraps(q)
     anchors = 0
     if torus:
-        for p in iter_box([q] * col.n):
+        for p in product(range(q), repeat=col.n):
             anchors += 1
             seen = {col.color_of(tuple((a - e) % q for a, e in zip(p, rp))) for rp in reps}
             if len(seen) != col.sigma:
@@ -83,7 +84,7 @@ def check_write_guarantee(col: Coloring, c: Chair) -> Verdict:
     else:
         if any(l > q for l in sides):
             return Verdict.passed(mode="interior", anchors=0)
-        for p in iter_box([q] * col.n):
+        for p in product(range(q), repeat=col.n):
             if any(a < l - 1 for a, l in zip(p, sides)):
                 continue
             anchors += 1
@@ -96,7 +97,7 @@ def check_write_guarantee(col: Coloring, c: Chair) -> Verdict:
 def write_csv(col: Coloring, stream: IO[str]) -> int:
     """Rows "x1,...,xn,color", one per grid state, in grid order."""
     rows = 0
-    for state, color in zip(iter_box([col.q] * col.n), col.colors):
+    for state, color in zip(product(range(col.q), repeat=col.n), col.colors):
         stream.write(",".join(str(x) for x in state) + f",{color}\n")
         rows += 1
     return rows

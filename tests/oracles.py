@@ -7,14 +7,15 @@ exhaustive coefficient scans.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import product
 
-from chaircodes.chair import Chair
+from chaircodes.chair import Chair, as_exact, shifted_copies_intersect
 from chaircodes.codes import SearchVerdict, _hnf_candidates, sphere_size
 from chaircodes.exactmath import IntMatrix
-from chaircodes.lattice import Lattice
+from chaircodes.lattice import Lattice, Verdict, lattice_points_in_box
 
 
 def cofactor_determinant(rows: list[list[int]]) -> int:
@@ -107,8 +108,24 @@ def reference_perfect_search(n: int, t: int, ell: int) -> SearchVerdict:
     examined = 0
     for h in _hnf_candidates(n, sphere_size(n, t, ell)):
         examined += 1
-        lat = Lattice(h.transpose().entries)  # rows of the lattice = columns of h
+        lat = Lattice(tuple(zip(*h)))  # rows of the lattice = columns of h
         if all(any(lat.coset_label(d)) for d in diffs):
-            found.append(h)
+            found.append(IntMatrix(h))
     found.sort(key=lambda m: m.entries)
     return SearchVerdict("Found" if found else "NoPerfectCode", examined=examined, found=tuple(found))
+
+
+def reference_verify_packing(lat: Lattice, c: Chair) -> Verdict:
+    """Packing check on the common-denominator integer model of the pair: the
+    lattice and the chair are both scaled by the lcm S of every denominator in
+    either, so the overlap test runs on an integer chair and the witness is
+    scaled back by 1/S.  The library instead scales the lattice alone."""
+    s = math.lcm(*(x.denominator for row in lat.generator for x in row),
+                 *(x.denominator for x in c.sides + c.notch))
+    ilat = Lattice([[x * s for x in row] for row in lat.generator])
+    ic = Chair(tuple(l * s for l in c.sides), tuple(k * s for k in c.notch))
+    for x in lattice_points_in_box(ilat, [l - 1 for l in ic.int_sides()]):
+        if any(x) and shifted_copies_intersect(ic, x):
+            return Verdict.failed("copies at 0 and witness overlap",
+                                  tuple(as_exact(Fraction(xi, s)) for xi in x))
+    return Verdict.passed()

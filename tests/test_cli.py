@@ -176,6 +176,16 @@ class TestDecode:
         assert rc == 2
         assert json.loads(err)["error"]["type"] == "BadParameters"
 
+    @pytest.mark.parametrize("flag", ["false", 1])
+    def test_non_boolean_perfect_flag_exits_2(self, capsys, code_file, flag):
+        # a truthy non-boolean must not pass for "perfect": true
+        data = json.loads(code_file.read_text())
+        data["perfect"] = flag
+        code_file.write_text(json.dumps(data))
+        rc, _, err = run_cli(capsys, "decode", "--code", str(code_file), "--received", "1,0,0")
+        assert rc == 2
+        assert json.loads(err)["error"]["type"] == "BadParameters"
+
 
 class TestSearch:
     def test_divisibility(self, capsys):

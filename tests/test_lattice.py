@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from oracles import (
     random_chair,
     random_rational_chair,
     random_unimodular,
+    reference_verify_packing,
 )
 
 
@@ -58,6 +60,28 @@ class TestLatticeBasics:
     def test_json_round_trip(self):
         lat = Lattice([[5, -3, 0], [0, 4, -1], [-3, 0, 3]])
         assert Lattice.from_json_dict(lat.to_json_dict()) == lat
+
+    def test_rational_equality_matches_common_rescaling(self):
+        # equality by scale and integer model agrees with rescaling both
+        # generators by the lcm of their scales and comparing HNFs
+        rng = random.Random(71)
+        for _ in range(200):
+            n = rng.randint(1, 3)
+            try:
+                a = Lattice([[Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3, 4])) for _ in range(n)]
+                             for _ in range(n)])
+            except SingularMatrix:
+                continue
+            w = random_unimodular(n, rng)
+            mixed = Lattice([[sum(x * y for x, y in zip(row, col)) for col in zip(*a.generator)]
+                             for row in w.entries])
+            assert mixed == a
+            b = Lattice([[x * f for x in row] for row in a.generator
+                         for f in [rng.choice([1, 1, 2, Fraction(1, 2)])]])
+            s = math.lcm(a.scale, b.scale)
+            rescaled = (Lattice([[x * s for x in row] for row in a.generator]).canonical()
+                        == Lattice([[x * s for x in row] for row in b.generator]).canonical())
+            assert (a == b) == rescaled
 
 
 class TestMember:
@@ -198,6 +222,29 @@ class TestVerifyPacking:
         c = Chair((5, 4, 3), (3, 3, 1))
         assert verify_packing(chair_lattice(c), c).ok
 
+    def test_rational_matches_common_denominator_reference(self):
+        # same verdict and witness as scaling lattice and chair together; the
+        # lattice is the chair's own or another chair's, integer or rational,
+        # so the chair's denominators need not divide the lattice's scale
+        rng = random.Random(67)
+        checked = rejected = 0
+        for _ in range(300):
+            c = random_rational_chair(rng, rng.randint(1, 3))
+            base = rng.choice([c, random_chair(rng, c.n), random_rational_chair(rng, c.n)])
+            rows = [list(r) for r in chair_lattice(base).generator]
+            for _ in range(rng.randint(0, 2)):
+                i, j = rng.randrange(c.n), rng.randrange(c.n)
+                rows[i][j] += Fraction(rng.randint(-2, 2), rng.choice([1, 2, 3]))
+            try:
+                lat = Lattice(rows)
+            except SingularMatrix:
+                continue
+            verdict = verify_packing(lat, c)
+            assert verdict == reference_verify_packing(lat, c)
+            checked += 1
+            rejected += not verdict.ok
+        assert checked > 250 and 30 < rejected < checked
+
 
 class TestVerifyTiling:
     def test_chair_lattices_tile(self):
@@ -290,7 +337,7 @@ class TestEqualVolumeSublattices:
         for c in chairs:
             points = chair_point_set(c)
             for h in _hnf_candidates(c.n, volume(c)):
-                lat = Lattice(h.transpose().entries)
+                lat = Lattice(tuple(zip(*h)))
                 verdict = verify_tiling(lat, c)
                 assert verdict.ok == torus_tiling_oracle(lat, c).ok
                 if not verdict.ok:

@@ -2,13 +2,14 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from chaircodes.chair import Chair, enumerate_points, volume
 from chaircodes.errors import BadParameters, HypothesisViolated, NotDiscrete
-from chaircodes.lattice import Lattice, chair_lattice, verify_tiling
+from chaircodes.exactmath import IntMatrix, determinant, hnf_residue
+from chaircodes.lattice import Lattice, SplittingSequence, chair_lattice, verify_tiling
 from chaircodes.splitting import (
-    CompositeGroupLabeling,
-    SplittingSequence,
     alpha_unit,
     general_chair_splitting,
     lattice_to_splitting,
@@ -18,6 +19,41 @@ from chaircodes.splitting import (
 )
 
 from oracles import random_chair
+
+
+class TestSplittingSequence:
+    def test_cyclic_is_one_factor(self):
+        s = SplittingSequence.cyclic(7, (8, -1, 4))
+        assert (s.divisors, s.residues, s.permutation) == ((7,), ((1, 6, 4),), (0, 1, 2))
+        assert (s.n, s.order) == (3, 7)
+        assert s.value((1, 1, 0)) == (0,)
+
+    def test_several_factors(self):
+        s = SplittingSequence((2, 6), ((1, 0), (3, 1)))
+        assert s.n == 2 and s.order == 12
+        assert s.value((1, 1)) == (1, 4)
+
+    @pytest.mark.parametrize("args", [
+        ((0,), ((1, 2),)),
+        ((3, 0), ((1, 2), (0, 1))),
+        ((3,), ()),
+        ((3, 5), ((1, 2), (1,))),
+        ((3,), ((1, 2),), (0, 0)),
+        ((3,), ((1, 2),), (0, 1, 2)),
+    ])
+    def test_malformed_rejected(self, args):
+        with pytest.raises(BadParameters):
+            SplittingSequence(*args)
+
+    def test_json_is_cyclic_only(self):
+        s = SplittingSequence.cyclic(10, (4, 1), (1, 0))
+        assert s.to_json_dict() == {"m": "10", "beta": ["4", "1"], "permutation": [1, 0]}
+        with pytest.raises(BadParameters):
+            SplittingSequence((2, 2), ((1, 0), (0, 1))).to_json_dict()
+
+    def test_trivial_group_json(self):
+        s = lattice_to_splitting(Lattice([[1, 0], [0, 1]]))
+        assert s.to_json_dict() == {"m": "1", "beta": ["0", "0"], "permutation": [0, 1]}
 
 
 class TestAlphaUnit:
@@ -54,19 +90,19 @@ class TestAlphaUnit:
 class TestUniformSplitting:
     def test_cube(self):
         s = uniform_chair_splitting(3, 2)
-        assert (s.modulus, s.beta) == (7, (1, 2, 4))
+        assert (s.divisors, s.residues) == ((7,), ((1, 2, 4),))
         values = sorted(s.value(p) for p in enumerate_points(Chair((2, 2, 2), (1, 1, 1))))
-        assert values == list(range(7))
+        assert values == [(v,) for v in range(7)]
 
     def test_square(self):
         s = uniform_chair_splitting(2, 2)
-        assert (s.modulus, s.beta) == (3, (1, 2))
+        assert (s.divisors, s.residues) == ((3,), ((1, 2),))
         pts = enumerate_points(Chair((2, 2), (1, 1)))
-        assert [s.value(p) for p in pts] == [0, 2, 1]
+        assert [s.value(p) for p in pts] == [(0,), (2,), (1,)]
 
     def test_side_four(self):
         s = uniform_chair_splitting(2, 4)
-        assert (s.modulus, s.beta) == (7, (1, 6))
+        assert (s.divisors, s.residues) == ((7,), ((1, 6),))
         chair = Chair((4, 4), (3, 3))
         assert verify_splitting(chair, s).ok
 
@@ -81,15 +117,15 @@ class TestGeneralSplitting:
     def test_square_with_notch_two(self):
         c = Chair((3, 3), (2, 2))
         s = general_chair_splitting(c)
-        assert (s.modulus, s.beta) == (5, (1, 4))
-        assert [s.value(p) for p in enumerate_points(c)] == [0, 4, 3, 1, 2]
+        assert (s.divisors, s.residues) == ((5,), ((1, 4),))
+        assert [s.value(p) for p in enumerate_points(c)] == [(0,), (4,), (3,), (1,), (2,)]
 
     def test_matches_uniform_construction(self):
         for n, ell in [(2, 3), (3, 2), (4, 3)]:
             c = Chair((ell,) * n, (ell - 1,) * n)
             s = general_chair_splitting(c)
             u = uniform_chair_splitting(n, ell)
-            assert s.beta == u.beta and s.modulus == u.modulus
+            assert s.residues == u.residues and s.divisors == u.divisors
             assert verify_splitting(c, s).ok
 
     def test_hypothesis_violated(self):
@@ -101,8 +137,8 @@ class TestGeneralSplitting:
         c = Chair((3, 4), (1, 2))  # k_2 = 2 shares a factor with volume 10
         s = general_chair_splitting(c)
         assert s.permutation == (1, 0)
-        assert s.modulus == 10
-        assert s.beta == (4, 1)
+        assert s.divisors == (10,)
+        assert s.residues == ((4, 1),)
         assert verify_splitting(c, s).ok
 
     def test_recurrence_identities(self):
@@ -115,17 +151,17 @@ class TestGeneralSplitting:
             except HypothesisViolated:
                 continue
             checked += 1
-            m = s.modulus
+            (m,), (beta,) = s.divisors, s.residues
             sides = c.int_sides()
             notch = c.int_notch()
             perm = s.permutation
-            bi = [s.beta[p] for p in perm]
+            bi = [beta[p] for p in perm]
             li = [sides[p] for p in perm]
             ki = [notch[p] for p in perm]
             for i in range(c.n - 1):
                 assert li[i] * bi[i] % m == ki[i + 1] * bi[i + 1] % m
             assert ki[0] * bi[0] % m == li[-1] * bi[-1] % m
-            lk_dot = sum((l - k) * b for l, k, b in zip(sides, notch, s.beta))
+            lk_dot = sum((l - k) * b for l, k, b in zip(sides, notch, beta))
             assert lk_dot % m == 0
             assert verify_splitting(c, s).ok
 
@@ -137,7 +173,7 @@ class TestGeneralSplitting:
 class TestVerifySplitting:
     def test_collision_witness(self):
         c = Chair((2, 2, 2), (1, 1, 1))
-        verdict = verify_splitting(c, SplittingSequence(7, (1, 1, 1)))
+        verdict = verify_splitting(c, SplittingSequence.cyclic(7, (1, 1, 1)))
         assert not verdict.ok
         p, q = verdict.witness
         assert p != q
@@ -145,30 +181,30 @@ class TestVerifySplitting:
 
     def test_wrong_order_rejected(self):
         c = Chair((2, 2), (1, 1))
-        verdict = verify_splitting(c, SplittingSequence(4, (1, 2)))
+        verdict = verify_splitting(c, SplittingSequence.cyclic(4, (1, 2)))
         assert not verdict.ok
         assert "order" in verdict.reason
 
 
 class TestSplittingToLattice:
     def test_small_square(self):
-        lat = splitting_to_lattice(SplittingSequence(3, (1, 2)))
+        lat = splitting_to_lattice(SplittingSequence.cyclic(3, (1, 2)))
         assert lat.volume == 3
         assert lat == chair_lattice(Chair((2, 2), (1, 1)))
 
     def test_cube(self):
-        lat = splitting_to_lattice(SplittingSequence(7, (1, 2, 4)))
+        lat = splitting_to_lattice(SplittingSequence.cyclic(7, (1, 2, 4)))
         assert lat.volume == 7
         assert verify_tiling(lat, Chair((2, 2, 2), (1, 1, 1))).ok
 
     def test_trivial_group(self):
-        lat = splitting_to_lattice(SplittingSequence(1, (0, 0)))
+        lat = splitting_to_lattice(SplittingSequence.cyclic(1, (0, 0)))
         assert lat.volume == 1
         assert lat == Lattice([[1, 0], [0, 1]])
 
     def test_image_size_when_no_unit(self):
         # residues 2, 4 modulo 8 only reach the even residues: image size 4
-        lat = splitting_to_lattice(SplittingSequence(8, (2, 4)))
+        lat = splitting_to_lattice(SplittingSequence.cyclic(8, (2, 4)))
         assert lat.volume == 4
 
     def test_kernel_equals_chair_lattice_under_hypothesis(self):
@@ -202,32 +238,28 @@ class TestSplittingToLattice:
 
     def test_dimension_argument_checked(self):
         with pytest.raises(BadParameters):
-            splitting_to_lattice(SplittingSequence(3, (1, 2)), n=3)
+            splitting_to_lattice(SplittingSequence.cyclic(3, (1, 2)), n=3)
 
 
 class TestLatticeToSplitting:
     def test_small_square(self):
         c = Chair((2, 2), (1, 1))
         s = lattice_to_splitting(chair_lattice(c))
-        assert isinstance(s, SplittingSequence)
-        assert s.modulus == 3
+        assert s.divisors == (3,)
         assert verify_splitting(c, s).ok
 
     def test_cube_unit_normalized(self):
         s = lattice_to_splitting(chair_lattice(Chair((2, 2, 2), (1, 1, 1))))
-        assert isinstance(s, SplittingSequence)
-        assert (s.modulus, s.beta) == (7, (1, 2, 4))
+        assert (s.divisors, s.residues) == ((7,), ((1, 2, 4),))
 
     def test_non_cyclic_quotient(self):
         s = lattice_to_splitting(Lattice([[2, 0], [0, 2]]))
-        assert isinstance(s, CompositeGroupLabeling)
         assert s.divisors == (2, 2)
         assert s.order == 4
 
     def test_trivial_lattice(self):
         s = lattice_to_splitting(Lattice([[1, 0], [0, 1]]))
-        assert isinstance(s, SplittingSequence)
-        assert s.modulus == 1
+        assert s.order == 1
 
 
 class TestRoundTrips:
@@ -245,7 +277,7 @@ class TestRoundTrips:
     def test_non_cyclic_round_trip(self):
         lat = chair_lattice(Chair((4, 4), (2, 2)))  # quotient Z_2 + Z_6
         s = lattice_to_splitting(lat)
-        assert isinstance(s, CompositeGroupLabeling)
+        assert len(s.divisors) == 2
         assert math.prod(s.divisors) == 12
         assert splitting_to_lattice(s) == lat
 
@@ -259,3 +291,31 @@ class TestRoundTrips:
             lat = splitting_to_lattice(s)
             s2 = lattice_to_splitting(lat)
             assert splitting_to_lattice(s2) == lat
+
+
+@st.composite
+def integer_lattices(draw):
+    # a random basis times k: for k > 1 and n > 1 every invariant factor of
+    # the quotient is divisible by k, so it has several cyclic factors
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n))
+    assume(determinant(IntMatrix(tuple(map(tuple, rows)))) != 0)
+    return Lattice([[k * x for x in row] for row in rows])
+
+
+class TestLabelingOracle:
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(st.data())
+    def test_labels_agree_with_hnf_residues(self, data):
+        lat = data.draw(integer_lattices())
+        n = lat.n
+        h = lat.canonical().entries
+        vec = st.tuples(*[st.integers(-12, 12)] * n)
+        p, q, coeffs = data.draw(vec), data.draw(vec), data.draw(vec)
+        same = tuple(x + sum(c * row[i] for c, row in zip(coeffs, lat.generator)) for i, x in enumerate(p))
+        for other in (q, same):
+            assert (lat.coset_label(p) == lat.coset_label(other)) == (hnf_residue(h, p) == hnf_residue(h, other))
+        assert lat.coset_label(p) == lat.coset_label(same)
+        assert lat.labeling().order == lat.volume
+        assert splitting_to_lattice(lattice_to_splitting(lat)) == lat

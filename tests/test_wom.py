@@ -1,10 +1,11 @@
 import io
 import struct
 from collections import Counter
+from itertools import product
 
 import pytest
 
-from chaircodes.chair import Chair, iter_box
+from chaircodes.chair import Chair
 from chaircodes.errors import BadParameters, BudgetExceeded, NotATiling
 from chaircodes.lattice import Lattice, chair_lattice
 from chaircodes.wom import Coloring, build_coloring, check_write_guarantee, write_binary, write_csv
@@ -39,7 +40,7 @@ class TestBuildColoring:
         c = Chair((2, 2, 2), (1, 1, 1))
         lat = chair_lattice(c)
         col = build_coloring(lat, c, 5)
-        for p in iter_box([5] * 3):
+        for p in product(range(5), repeat=3):
             for row in lat.generator:
                 shifted = tuple(a + b for a, b in zip(p, row))
                 if all(0 <= x < 5 for x in shifted):
