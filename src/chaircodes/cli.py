@@ -166,7 +166,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.m is not None or args.beta is not None:
         if args.m is None or args.beta is None:
             raise BadParameters("--m and --beta must be given together")
-        seq = SplittingSequence.cyclic(int(args.m), _parse_int_vector(args.beta))
+        beta = _parse_int_vector(args.beta)
+        if len(beta) != c.n:
+            raise BadParameters(f"--beta has {len(beta)} residues, chair is {c.n}-dimensional")
+        seq = SplittingSequence.cyclic(int(args.m), beta)
         verdicts["splitting"] = verify_splitting(c, seq)
         lat = None
     else:

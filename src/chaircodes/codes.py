@@ -12,6 +12,7 @@ exhaustive search over all sublattices of the right index.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Sequence
@@ -136,8 +137,11 @@ class LatticeCode:
     def from_json_dict(cls, data: dict) -> LatticeCode:
         """Read a code file.  A code marked perfect must carry exactly the
         syndrome table its lattice and sphere determine; BadParameters if not."""
-        sphere = ErrorSphere(int(data["n"]), int(data["t"]),
-                             tuple(int(m) for m in data["magnitudes"]))
+        mags = data["magnitudes"]
+        if not isinstance(mags, list):
+            raise BadParameters(f"magnitudes must be a JSON list, got {mags!r}")
+        sphere = ErrorSphere(_json_int(data["n"], "n"), _json_int(data["t"], "t"),
+                             tuple(_json_int(m, "a magnitude") for m in mags))
         lat = Lattice(data["generator"])
         perfect = data["perfect"]
         if not isinstance(perfect, bool):
@@ -157,6 +161,16 @@ class LatticeCode:
                 raise BadParameters("code file is marked perfect, but its syndrome table "
                                     "is missing or wrong")
         return cls(lat, sphere, perfect, table)
+
+
+def _json_int(x: object, what: str) -> int:
+    """A JSON integer, or a decimal-integer string as the writer emits it;
+    floats, booleans and other strings are refused, never truncated."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    if isinstance(x, str) and re.fullmatch(r"-?[0-9]+", x):
+        return int(x)
+    raise BadParameters(f"{what} must be an integer, got {x!r}")
 
 
 def _syndrome_table(lat: Lattice, sphere: ErrorSphere) -> dict[tuple[int, ...], tuple[int, ...]]:

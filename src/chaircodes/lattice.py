@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-import numpy as np
-
 from . import exactmath
 from .budget import check_budget
 from .chair import Chair, Scalar, as_exact, enumerate_points, shifted_copies_intersect, volume
@@ -349,6 +347,9 @@ def verify_tiling(lat: Lattice, c: Chair) -> Verdict:
     return Verdict.passed()
 
 
+TORUS_CHUNK_BYTES = 1 << 22  # cap on each int64 temporary of the torus oracle
+
+
 def torus_tiling_oracle(lat: Lattice, c: Chair, m: int | None = None, budget: int | None = None) -> Verdict:
     """Independent tiling check: place chair copies at every lattice point of
     the torus (Z/m)^n and count how often each cell is covered.
@@ -377,15 +378,22 @@ def torus_tiling_oracle(lat: Lattice, c: Chair, m: int | None = None, budget: in
         # every int64 intermediate stays below 2**62 only within these bounds
         raise BudgetExceeded(f"torus grid with m={m} exceeds exact int64 indexing")
 
+    import numpy as np  # only this oracle needs it; the CLI starts without it
+
     ranges = [m // h[i][i] for i in range(n)]
+    copies = math.prod(ranges)
     basis = np.array(h, dtype=np.int64)  # rows of h, columns are basis vectors
-    grids = np.meshgrid(*[np.arange(r, dtype=np.int64) for r in ranges], indexing="ij")
-    coeffs = np.stack([g.ravel() for g in grids], axis=1)  # (copies, n)
-    anchors = (coeffs @ basis.T) % m
     chair_pts = np.array(enumerate_points(c, budget), dtype=np.int64) % m
     strides = np.array([m ** (n - 1 - i) for i in range(n)], dtype=np.int64)
-    flat = ((anchors[:, None, :] + chair_pts[None, :, :]) % m) @ strides
-    counts = np.bincount(flat.ravel(), minlength=cells)
+    # anchor rows go in chunks so the largest temporary, (rows, points, n)
+    # int64, stays under the cap
+    rows = max(1, TORUS_CHUNK_BYTES // (8 * n * len(chair_pts)))
+    counts = np.zeros(cells, dtype=np.int64)
+    for start in range(0, copies, rows):
+        coeffs = np.stack(np.unravel_index(np.arange(start, min(start + rows, copies)), ranges), axis=1)
+        anchors = (coeffs @ basis.T) % m
+        flat = ((anchors[:, None, :] + chair_pts[None, :, :]) % m) @ strides
+        np.add.at(counts, flat.ravel(), 1)  # in place: no cells-long temporary
     bad = np.flatnonzero(counts != 1)
     if bad.size:
         idx = int(bad[0])
@@ -394,5 +402,5 @@ def torus_tiling_oracle(lat: Lattice, c: Chair, m: int | None = None, budget: in
             cell.append(idx // int(strides[i]))
             idx %= int(strides[i])
         kind = "doubly covered" if counts[bad[0]] > 1 else "uncovered"
-        return Verdict.failed(f"torus cell {kind}", tuple(cell), copies=len(coeffs), cells=cells)
-    return Verdict.passed(copies=len(coeffs), cells=cells)
+        return Verdict.failed(f"torus cell {kind}", tuple(cell), copies=copies, cells=cells)
+    return Verdict.passed(copies=copies, cells=cells)

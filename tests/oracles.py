@@ -12,10 +12,12 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from chaircodes.chair import Chair, as_exact, shifted_copies_intersect
+from chaircodes.chair import Chair, as_exact, enumerate_points, shifted_copies_intersect, volume
 from chaircodes.codes import SearchVerdict, _hnf_candidates, sphere_size
+from chaircodes.errors import NotATiling
 from chaircodes.exactmath import IntMatrix
 from chaircodes.lattice import Lattice, Verdict, lattice_points_in_box
+from chaircodes.wom import Coloring
 
 
 def cofactor_determinant(rows: list[list[int]]) -> int:
@@ -129,3 +131,35 @@ def reference_verify_packing(lat: Lattice, c: Chair) -> Verdict:
             return Verdict.failed("copies at 0 and witness overlap",
                                   tuple(as_exact(Fraction(xi, s)) for xi in x))
     return Verdict.passed()
+
+
+def reference_build_coloring(lat: Lattice, c: Chair, q: int) -> Coloring:
+    """Coset coloring by one coset label per grid cell, each mapped to the
+    rank of the chair point that shares it."""
+    index = {lat.coset_label(p): i for i, p in enumerate(enumerate_points(c))}
+    if lat.volume != volume(c) or len(index) != volume(c):
+        raise NotATiling("not a tiling")
+    colors = tuple(index[lat.coset_label(p)] for p in product(range(q), repeat=c.n))
+    return Coloring(q, c.n, len(index), colors, lat, c)
+
+
+def reference_check_write_guarantee(col: Coloring, c: Chair) -> Verdict:
+    """The write guarantee anchor by anchor: collect the colors of the cells
+    p - e over the chair points e, wrapping modulo q on the torus, and compare
+    their number with sigma."""
+    reps = enumerate_points(c)
+    sides = c.int_sides()
+    q = col.q
+    torus = col.lattice.wraps(q)
+    if not torus and any(l > q for l in sides):
+        return Verdict.passed(mode="interior", anchors=0)
+    mode = "torus" if torus else "interior"
+    anchors = 0
+    for p in product(range(q), repeat=col.n):
+        if not torus and any(a < l - 1 for a, l in zip(p, sides)):
+            continue
+        anchors += 1
+        seen = {col.color_of(tuple((a - e) % q for a, e in zip(p, rp))) for rp in reps}
+        if len(seen) != col.sigma:
+            return Verdict.failed("anchor misses a color", p, mode=mode)
+    return Verdict.passed(mode=mode, anchors=anchors)

@@ -118,6 +118,12 @@ class TestVerify:
         assert rc == 5
         assert report_of(out)["verdicts"]["splitting"]["ok"] is False
 
+    def test_beta_length_mismatch_exits_2(self, capsys):
+        rc, out, err = run_cli(capsys, "verify", "--l", "2,2", "--k", "1,1", "--m", "3", "--beta", "1,2,3")
+        assert rc == 2
+        assert out == ""
+        assert json.loads(err)["error"]["type"] == "BadParameters"
+
     def test_generator_file(self, capsys, tmp_path):
         path = tmp_path / "lat.json"
         path.write_text(json.dumps({"generator": [["5", "0"], ["0", "1"]]}))
@@ -185,6 +191,28 @@ class TestDecode:
         rc, _, err = run_cli(capsys, "decode", "--code", str(code_file), "--received", "1,0,0")
         assert rc == 2
         assert json.loads(err)["error"]["type"] == "BadParameters"
+
+    @pytest.mark.parametrize("field,value", [
+        ("n", 3.7), ("n", 3.0), ("n", True), ("n", "2.9"), ("t", "2.0"), ("t", False),
+        ("magnitudes", [1.9, 1, 1]), ("magnitudes", [True, 1, 1]), ("magnitudes", ["1", "1", "1.0"]),
+        ("magnitudes", "111"),
+    ])
+    def test_non_integer_sphere_field_exits_2(self, capsys, code_file, field, value):
+        # the sphere's integers must not be truncated into a different code
+        data = json.loads(code_file.read_text())
+        data[field] = value
+        code_file.write_text(json.dumps(data))
+        rc, _, err = run_cli(capsys, "decode", "--code", str(code_file), "--received", "1,0,0")
+        assert rc == 2
+        assert json.loads(err)["error"]["type"] == "BadParameters"
+
+    def test_json_integer_sphere_fields_accepted(self, capsys, code_file):
+        data = json.loads(code_file.read_text())
+        data.update(n=3, t=2, magnitudes=[1, "1", 1])
+        code_file.write_text(json.dumps(data))
+        rc, out, _ = run_cli(capsys, "decode", "--code", str(code_file), "--received", "1,1,0")
+        assert rc == 0
+        assert report_of(out)["artifacts"]["error"] == ["1", "1", "0"]
 
 
 class TestSearch:

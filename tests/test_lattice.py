@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from chaircodes import lattice as lattice_module
 from chaircodes.chair import Chair, enumerate_points, volume
 from chaircodes.codes import _hnf_candidates
 from chaircodes.errors import BadModulus, BudgetExceeded, NonIntegerLattice, NotDiscrete, SingularMatrix
@@ -316,6 +317,22 @@ class TestTorusOracle:
             tiling = verify_tiling(lat, c)
             torus = torus_tiling_oracle(lat, c, m)
             assert tiling.ok == torus.ok
+
+    def test_chunked_matches_unchunked(self, monkeypatch):
+        rng = random.Random(43)
+        pairs = []
+        while len(pairs) < 12:
+            n = rng.choice([2, 3])
+            c = random_chair(rng, n, max_side=4)
+            lat = chair_lattice(c if len(pairs) % 2 else random_chair(rng, n, max_side=4))
+            if int(lat.volume) ** n <= 5000:
+                pairs.append((lat, c))
+        monkeypatch.setattr(lattice_module, "TORUS_CHUNK_BYTES", 1 << 62)
+        whole = [torus_tiling_oracle(lat, c) for lat, c in pairs]
+        assert {v.ok for v in whole} == {True, False}
+        for cap in (1, 8 * 3 * 7 * 5):
+            monkeypatch.setattr(lattice_module, "TORUS_CHUNK_BYTES", cap)
+            assert [torus_tiling_oracle(lat, c) for lat, c in pairs] == whole
 
 
 class TestExhaustiveSmallGrid:

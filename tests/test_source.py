@@ -1,6 +1,9 @@
 """Rules the library's source must keep."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "chaircodes"
@@ -25,3 +28,38 @@ def test_no_asserts_in_library():
         if isinstance(node, ast.Assert) or _is_assertion_error(node)
     ]
     assert offenders == []
+
+
+def _import_time_nodes(node: ast.AST):
+    """Statements run on import: everything outside function bodies."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield child
+            yield from _import_time_nodes(child)
+
+
+def _imported_roots(node: ast.AST) -> set[str]:
+    if isinstance(node, ast.Import):
+        return {alias.name.split(".")[0] for alias in node.names}
+    if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+        return {node.module.split(".")[0]}
+    return set()
+
+
+def test_numpy_not_imported_at_module_level():
+    # numpy costs most of the CLI's start-up, and only the torus oracle uses it
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in _import_time_nodes(ast.parse(path.read_text(), filename=str(path)))
+        if "numpy" in _imported_roots(node)
+    ]
+    assert offenders == []
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    code = "import sys, chaircodes.cli; print('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

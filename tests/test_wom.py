@@ -1,4 +1,5 @@
 import io
+import random
 import struct
 from collections import Counter
 from itertools import product
@@ -9,6 +10,7 @@ from chaircodes.chair import Chair
 from chaircodes.errors import BadParameters, BudgetExceeded, NotATiling
 from chaircodes.lattice import Lattice, chair_lattice
 from chaircodes.wom import Coloring, build_coloring, check_write_guarantee, write_binary, write_csv
+from oracles import random_chair, reference_build_coloring, reference_check_write_guarantee
 
 
 def small_coloring(q=3):
@@ -141,3 +143,81 @@ class TestExports:
         wide = Coloring(col.q, col.n, 70000, col.colors, col.lattice, c)
         with pytest.raises(BadParameters):
             write_binary(wide, io.BytesIO())
+
+
+def seeded_colorings(seed=2012, bases=56):
+    """(label, coloring, chair) triples: seeded chair colorings on torus,
+    interior and vacuous grids, each with five corrupted copies."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < 6 * bases:
+        n = rng.choice((1, 2, 2, 3))
+        c = random_chair(rng, n, max_side=4 if n < 3 else 3)
+        lat = chair_lattice(c)
+        exponent = lat.divisors[-1]
+        q = rng.choice((exponent * rng.randint(1, 2), rng.randint(1, 7)))
+        if q**n > 350:
+            continue
+        col = build_coloring(lat, c, q)
+        cells = len(col.colors)
+        sigma = col.sigma
+
+        def variant(colors, s=sigma):
+            return Coloring(q, n, s, tuple(colors), lat, c)
+
+        i, j = rng.sample(range(cells), 2) if cells > 1 else (0, 0)
+        swapped = list(col.colors)
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        recolored = list(col.colors)
+        recolored[i] = (recolored[i] + rng.randint(1, max(1, sigma - 1))) % sigma
+        foreign = list(col.colors)
+        foreign[i] = foreign[min(i + 1, cells - 1)] = sigma + rng.randrange(3)
+        out += [
+            ("intact", col, c),
+            ("swapped", variant(swapped), c),
+            ("recolored", variant(recolored), c),
+            ("color >= sigma", variant(foreign), c),
+            ("sigma + 1", variant(col.colors, sigma + 1), c),
+            ("sigma - 1", variant(col.colors, sigma - 1), c),
+        ]
+    return out
+
+
+class TestAgainstReference:
+    def test_build_matches_per_cell_labels(self):
+        rng = random.Random(77)
+        for _ in range(40):
+            n = rng.choice((1, 2, 3))
+            c = random_chair(rng, n, max_side=4)
+            lat = chair_lattice(c)
+            q = rng.randint(1, 9 if n < 3 else 5)
+            assert build_coloring(lat, c, q).colors == reference_build_coloring(lat, c, q).colors
+
+    def test_check_matches_anchor_loop(self):
+        instances = seeded_colorings()
+        assert len(instances) >= 300
+        modes = Counter()
+        rejected = Counter()
+        for label, col, c in instances:
+            verdict = check_write_guarantee(col, c)
+            assert verdict == reference_check_write_guarantee(col, c), (label, col.q, c)
+            detail = dict(verdict.detail)
+            modes[detail["mode"] if detail.get("anchors") != "0" else "vacuous"] += 1
+            rejected[label] += not verdict.ok
+        assert min(modes["torus"], modes["interior"], modes["vacuous"]) >= 20, modes
+        assert rejected["intact"] == 0
+        for label in ("swapped", "recolored", "color >= sigma", "sigma + 1"):
+            assert rejected[label] > 0, rejected
+
+    def test_wide_palette(self):
+        # more than 255 colors take several byte-coded passes over the grid
+        c = Chair((17, 17), (1, 1))
+        col = build_coloring(chair_lattice(c), c, 20)
+        assert col.sigma == 288
+        broken = list(col.colors)
+        broken[-1] = broken[-2] = 10**30
+        verdicts = []
+        for colored in (col, Coloring(col.q, col.n, col.sigma, tuple(broken), col.lattice, c)):
+            verdicts.append(check_write_guarantee(colored, c))
+            assert verdicts[-1] == reference_check_write_guarantee(colored, c)
+        assert [v.ok for v in verdicts] == [True, False]
