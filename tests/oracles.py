@@ -12,9 +12,8 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from chaircodes.chair import Chair, as_exact, enumerate_points, shifted_copies_intersect, volume
+from chaircodes.chair import Chair, as_exact, enumerate_points, shifted_copies_intersect
 from chaircodes.codes import SearchVerdict, _hnf_candidates, sphere_size
-from chaircodes.errors import NotATiling
 from chaircodes.exactmath import IntMatrix
 from chaircodes.lattice import Lattice, Verdict, lattice_points_in_box
 from chaircodes.wom import Coloring
@@ -134,11 +133,9 @@ def reference_verify_packing(lat: Lattice, c: Chair) -> Verdict:
 
 
 def reference_build_coloring(lat: Lattice, c: Chair, q: int) -> Coloring:
-    """Coset coloring by one coset label per grid cell, each mapped to the
-    rank of the chair point that shares it."""
+    """Coset coloring of a tiling by one coset label per grid cell, each
+    mapped to the rank of the chair point that shares it."""
     index = {lat.coset_label(p): i for i, p in enumerate(enumerate_points(c))}
-    if lat.volume != volume(c) or len(index) != volume(c):
-        raise NotATiling("not a tiling")
     colors = tuple(index[lat.coset_label(p)] for p in product(range(q), repeat=c.n))
     return Coloring(q, c.n, len(index), colors, lat, c)
 
