@@ -7,27 +7,32 @@ overridden with the CHAIRCODES_BUDGET environment variable or per call.
 
 from __future__ import annotations
 
+import operator
 import os
 
-from .errors import BudgetExceeded
+from .errors import BadParameters, BudgetExceeded
 
 DEFAULT_BUDGET = 10**6
 ENV_VAR = "CHAIRCODES_BUDGET"
 
 
 def resolve_budget(budget: int | None = None) -> int:
-    """Return the effective budget: explicit argument, else env var, else default."""
-    if budget is not None:
-        return int(budget)
-    raw = os.environ.get(ENV_VAR)
-    if raw is not None:
-        return int(raw)
-    return DEFAULT_BUDGET
+    """Return the effective budget: explicit argument, else env var, else
+    default.  A value that is not an integer >= 1 raises BadParameters
+    naming its source."""
+    source, value = ("budget", budget) if budget is not None else (
+        ENV_VAR, os.environ.get(ENV_VAR, DEFAULT_BUDGET))
+    try:
+        limit = int(value) if isinstance(value, str) else operator.index(value)
+    except (TypeError, ValueError):
+        raise BadParameters(f"{source} must be an integer, got {value!r}") from None
+    if limit < 1:
+        raise BadParameters(f"{source} must be >= 1, got {limit}")
+    return limit
 
 
-def check_budget(count: int, budget: int | None, what: str) -> int:
+def check_budget(count: int, budget: int | None, what: str) -> None:
     """Raise BudgetExceeded when count items would exceed the effective budget."""
     limit = resolve_budget(budget)
     if count > limit:
         raise BudgetExceeded(f"{what} needs {count} items, budget is {limit}")
-    return limit

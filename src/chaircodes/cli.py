@@ -214,7 +214,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
 
 def cmd_search(args: argparse.Namespace) -> int:
     timer = _Timer()
-    budget = int(args.budget) if args.budget is not None else resolve_budget()
+    budget = resolve_budget(args.budget)
     if args.mode == "divisibility":
         if args.t != args.n - 2:
             raise BadParameters(f"divisibility test covers t = n-2 only; got t={args.t}, n={args.n}")

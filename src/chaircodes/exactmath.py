@@ -107,8 +107,6 @@ def hermite_normal_form(m: IntMatrix) -> IntMatrix:
     """
     if m.rows != m.cols:
         raise NonSquare(f"hermite_normal_form needs a square matrix, got {m.rows}x{m.cols}")
-    if determinant(m) == 0:
-        raise SingularMatrix("hermite_normal_form needs det != 0")
     h = [list(col) for col in zip(*m.entries)]  # h[j] is column j
     n = m.rows
     for i in range(n):
@@ -117,6 +115,8 @@ def hermite_normal_form(m: IntMatrix) -> IntMatrix:
             for j in range(i, n):
                 if h[j][i] != 0 and (piv is None or abs(h[j][i]) < abs(h[piv][i])):
                     piv = j
+            if piv is None:  # columns i.. vanish on rows ..i: n-i vectors in n-i-1 dimensions
+                raise SingularMatrix("hermite_normal_form needs det != 0")
             if piv != i:
                 h[i], h[piv] = h[piv], h[i]
             if h[i][i] < 0:
@@ -164,12 +164,10 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
     D is diagonal with positive entries d_1 | d_2 | ... ; U and V are
     unimodular.  Pivots are chosen by smallest nonzero absolute value to
-    bound intermediate growth.
+    bound intermediate growth; an all-zero remaining block proves m singular.
     """
     if m.rows != m.cols:
         raise NonSquare(f"smith_normal_form needs a square matrix, got {m.rows}x{m.cols}")
-    if determinant(m) == 0:
-        raise SingularMatrix("smith_normal_form needs det != 0")
     n = m.rows
     a = m.to_lists()
     u = IntMatrix.identity(n).to_lists()
@@ -191,6 +189,8 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                     if e != 0 and (best is None or abs(e) < best):
                         best = abs(e)
                         pi, pj = i, j
+            if best is None:
+                raise SingularMatrix("smith_normal_form needs det != 0")
             if pi != k:
                 a[k], a[pi] = a[pi], a[k]
                 u[k], u[pi] = u[pi], u[k]

@@ -17,7 +17,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import exactmath
 from .budget import check_budget
@@ -25,7 +25,6 @@ from .chair import Chair, Scalar, as_exact, enumerate_points, shifted_copies_int
 from .errors import (
     BadModulus,
     BadParameters,
-    BudgetExceeded,
     DimensionMismatch,
     NonIntegerLattice,
     NonSquare,
@@ -117,6 +116,25 @@ class SplittingSequence:
     def value(self, p: Sequence[int]) -> tuple[int, ...]:
         """Image of p in G: its dot product with each factor's residues."""
         return tuple([sum(map(operator.mul, p, row)) % d for row, d in self._factors])
+
+    def grid_rows(self, ranges: Sequence[range], row: Callable[[list[tuple[int, ...]]], object]) -> list:
+        """row(the values of a row's cells) for each row of the grid
+        product(*ranges), in order.  Along a row the values are g + x*value(e_n),
+        g the value at x = 0, so the rows that share g share one call."""
+        firsts = []  # per factor, g of every row, built one axis at a time
+        for r, d in self._factors:
+            col = [0]
+            for b, xs in zip(r, ranges[:-1]):
+                col = [(g + x * b) % d for g in col for x in xs]
+            firsts.append(col)
+        gs = list(zip(*firsts)) if firsts else [()] * math.prod(map(len, ranges[:-1]))
+        steps = [[x * r[-1] for x in ranges[-1]] for r in self.residues]
+        rows: dict[tuple[int, ...], object] = {}
+        for g in gs:
+            if g not in rows:
+                values = zip(*[[(a + s) % d for s in st] for a, st, d in zip(g, steps, self.divisors)])
+                rows[g] = row(list(values) or [()] * len(ranges[-1]))
+        return [rows[g] for g in gs]
 
     def to_json_dict(self) -> dict:
         """The m/beta/permutation form; only a one-factor group has one."""
@@ -347,7 +365,63 @@ def verify_tiling(lat: Lattice, c: Chair) -> Verdict:
     return Verdict.passed()
 
 
-TORUS_CHUNK_BYTES = 1 << 22  # cap on each int64 temporary of the torus oracle
+class PaddedGrid:
+    """The grid [0,q)^n as the bits of one int, the first cell in row-major
+    order the most significant, so a mask shifted right by a chair point e's
+    flat offset moves each cell p to p + e.  An anchor p sees the cells
+    p - e.  With wrap, axis i is extended periodically by l_i - 1 cells below
+    and every grid cell is an anchor; without, the cells with p_i >= l_i - 1
+    are, and there are none when some l_i > q.
+    """
+
+    def __init__(self, c: Chair, q: int, wrap: bool, budget: int | None = None):
+        sides = c.int_sides()
+        self.q = q
+        self.pads = [l - 1 if wrap else 0 for l in sides]
+        self.dims = [q + pad for pad in self.pads]
+        self.strides = [math.prod(self.dims[i + 1:]) for i in range(c.n)]
+        self.offsets = [sum(map(operator.mul, e, self.strides)) for e in enumerate_points(c, budget)]
+        bits = b"1"
+        for d, l in zip(reversed(self.dims), reversed(sides)):
+            bits = b"0" * (len(bits) * (l - 1)) + bits * (d - l + 1)
+        self.anchors = int(bits or b"0", 2)  # no anchors when the chair does not fit
+
+    def masks(self, grid: bytes, codes: Iterable[int]) -> Iterator[int]:
+        """The cells holding each code in a byte per cell of [0,q)^n,
+        row-major, once the grid is extended periodically."""
+        for stride, pad in zip(reversed(self.strides), reversed(self.pads)):  # stride: later axes, extended
+            width, copies = self.q * stride, -(-pad // self.q)
+            cut = (copies * self.q - pad) * stride
+            grid = b"".join([(grid[i:i + width] * (copies + 1))[cut:] for i in range(0, len(grid), width)])
+        for code in codes:
+            yield int(grid.translate(b"0" * code + b"1" + b"0" * (255 - code)), 2)
+
+    def reach(self, mask: int) -> int:
+        """The cells that see a cell of mask."""
+        out = 0
+        for off in self.offsets:
+            out |= mask >> off
+        return out
+
+    def misses(self, masks: Iterable[int], target: int) -> tuple[int, list[int]]:
+        """Sum 0/1 masks in a bit-sliced counter, bit j of each cell's count in
+        planes[j]; return the anchors whose count is not target, and planes."""
+        planes: list[int] = []
+        for carry in masks:
+            for j, plane in enumerate(planes):
+                planes[j] = plane ^ carry
+                carry &= plane
+            if carry:
+                planes.append(carry)
+        exact = self.anchors if target < 1 << len(planes) else 0
+        for j, plane in enumerate(planes):
+            exact &= plane if target >> j & 1 else ~plane
+        return self.anchors ^ exact, planes
+
+    def cell(self, mask: int) -> tuple[int, ...]:
+        """Grid coordinates of the first cell of a nonzero mask."""
+        flat = math.prod(self.dims) - mask.bit_length()
+        return tuple(flat // s % d - pad for s, d, pad in zip(self.strides, self.dims, self.pads))
 
 
 def torus_tiling_oracle(lat: Lattice, c: Chair, m: int | None = None, budget: int | None = None) -> Verdict:
@@ -355,8 +429,9 @@ def torus_tiling_oracle(lat: Lattice, c: Chair, m: int | None = None, budget: in
     the torus (Z/m)^n and count how often each cell is covered.
 
     Requires m*e_i to be a lattice member for all i (the default m = lattice
-    volume always qualifies).  Exact 64-bit integer grid arithmetic; the cell
-    count m^n is capped by the budget.
+    volume always qualifies); the cell count m^n is capped by the budget.  The
+    lattice cells (label 0), shifted by each chair point, are summed in a
+    PaddedGrid's bit-sliced counter.
     """
     if lat.n != c.n:
         raise DimensionMismatch(f"lattice is {lat.n}-dimensional, chair is {c.n}-dimensional")
@@ -370,37 +445,14 @@ def torus_tiling_oracle(lat: Lattice, c: Chair, m: int | None = None, budget: in
         raise BadModulus(f"torus modulus must be >= 1, got {m}")
     if not lat.wraps(m):
         raise BadModulus(f"{m}*e_i is not a lattice point for some axis i")
-    n = lat.n
-    h = lat.canonical().entries
-    cells = m**n
+    cells = m**lat.n
     check_budget(cells, budget, "torus grid")
-    if m > 2**25 or cells >= 2**62:
-        # every int64 intermediate stays below 2**62 only within these bounds
-        raise BudgetExceeded(f"torus grid with m={m} exceeds exact int64 indexing")
-
-    import numpy as np  # only this oracle needs it; the CLI starts without it
-
-    ranges = [m // h[i][i] for i in range(n)]
-    copies = math.prod(ranges)
-    basis = np.array(h, dtype=np.int64)  # rows of h, columns are basis vectors
-    chair_pts = np.array(enumerate_points(c, budget), dtype=np.int64) % m
-    strides = np.array([m ** (n - 1 - i) for i in range(n)], dtype=np.int64)
-    # anchor rows go in chunks so the largest temporary, (rows, points, n)
-    # int64, stays under the cap
-    rows = max(1, TORUS_CHUNK_BYTES // (8 * n * len(chair_pts)))
-    counts = np.zeros(cells, dtype=np.int64)
-    for start in range(0, copies, rows):
-        coeffs = np.stack(np.unravel_index(np.arange(start, min(start + rows, copies)), ranges), axis=1)
-        anchors = (coeffs @ basis.T) % m
-        flat = ((anchors[:, None, :] + chair_pts[None, :, :]) % m) @ strides
-        np.add.at(counts, flat.ravel(), 1)  # in place: no cells-long temporary
-    bad = np.flatnonzero(counts != 1)
-    if bad.size:
-        idx = int(bad[0])
-        cell = []
-        for i in range(n):
-            cell.append(idx // int(strides[i]))
-            idx %= int(strides[i])
-        kind = "doubly covered" if counts[bad[0]] > 1 else "uncovered"
-        return Verdict.failed(f"torus cell {kind}", tuple(cell), copies=copies, cells=cells)
-    return Verdict.passed(copies=copies, cells=cells)
+    grid = PaddedGrid(c, m, True, budget)
+    rows = lat.labeling().grid_rows([range(m)] * lat.n, lambda gs: bytes(map(operator.not_, map(any, gs))))
+    (points,) = grid.masks(b"".join(rows), [1])
+    bad, planes = grid.misses((points >> off for off in grid.offsets), 1)
+    if bad:
+        cell = grid.cell(bad)
+        kind = "doubly covered" if any(grid.cell(p & bad) == cell for p in planes if p & bad) else "uncovered"
+        return Verdict.failed(f"torus cell {kind}", cell, copies=cells // vol, cells=cells)
+    return Verdict.passed(copies=cells // vol, cells=cells)

@@ -12,8 +12,12 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
+
+from chaircodes.budget import check_budget
 from chaircodes.chair import Chair, as_exact, enumerate_points, shifted_copies_intersect
 from chaircodes.codes import SearchVerdict, _hnf_candidates, sphere_size
+from chaircodes.errors import BadModulus, BudgetExceeded, DimensionMismatch, NonIntegerLattice, NotDiscrete
 from chaircodes.exactmath import IntMatrix
 from chaircodes.lattice import Lattice, Verdict, lattice_points_in_box
 from chaircodes.wom import Coloring
@@ -143,7 +147,7 @@ def reference_build_coloring(lat: Lattice, c: Chair, q: int) -> Coloring:
 def reference_check_write_guarantee(col: Coloring, c: Chair) -> Verdict:
     """The write guarantee anchor by anchor: collect the colors of the cells
     p - e over the chair points e, wrapping modulo q on the torus, and compare
-    their number with sigma."""
+    them with the colors 0..sigma-1."""
     reps = enumerate_points(c)
     sides = c.int_sides()
     q = col.q
@@ -157,6 +161,54 @@ def reference_check_write_guarantee(col: Coloring, c: Chair) -> Verdict:
             continue
         anchors += 1
         seen = {col.color_of(tuple((a - e) % q for a, e in zip(p, rp))) for rp in reps}
-        if len(seen) != col.sigma:
+        if seen != set(range(col.sigma)):
             return Verdict.failed("anchor misses a color", p, mode=mode)
     return Verdict.passed(mode=mode, anchors=anchors)
+
+
+def reference_torus_tiling_oracle(lat: Lattice, c: Chair, m: int | None = None,
+                                  budget: int | None = None) -> Verdict:
+    """The torus cover count on int64 arrays: every lattice point of (Z/m)^n
+    plus every chair point, reduced modulo m, adds one to its cell with
+    np.add.at.  Anchor rows go in chunks so the largest temporary stays
+    under 4 MiB; grids past the int64-exact bounds raise BudgetExceeded."""
+    if lat.n != c.n:
+        raise DimensionMismatch(f"lattice is {lat.n}-dimensional, chair is {c.n}-dimensional")
+    if not c.is_discrete:
+        raise NotDiscrete("torus oracle needs a discrete chair")
+    if not lat.is_integer:
+        raise NonIntegerLattice("torus oracle needs an integer lattice")
+    vol = int(lat.volume)
+    m = vol if m is None else int(m)
+    if m < 1:
+        raise BadModulus(f"torus modulus must be >= 1, got {m}")
+    if not lat.wraps(m):
+        raise BadModulus(f"{m}*e_i is not a lattice point for some axis i")
+    n = lat.n
+    h = lat.canonical().entries
+    cells = m**n
+    check_budget(cells, budget, "torus grid")
+    if m > 2**25 or cells >= 2**62:
+        raise BudgetExceeded(f"torus grid with m={m} exceeds exact int64 indexing")
+    ranges = [m // h[i][i] for i in range(n)]
+    copies = math.prod(ranges)
+    basis = np.array(h, dtype=np.int64)
+    chair_pts = np.array(enumerate_points(c, budget), dtype=np.int64) % m
+    strides = np.array([m ** (n - 1 - i) for i in range(n)], dtype=np.int64)
+    rows = max(1, (1 << 22) // (8 * n * len(chair_pts)))
+    counts = np.zeros(cells, dtype=np.int64)
+    for start in range(0, copies, rows):
+        coeffs = np.stack(np.unravel_index(np.arange(start, min(start + rows, copies)), ranges), axis=1)
+        anchors = (coeffs @ basis.T) % m
+        flat = ((anchors[:, None, :] + chair_pts[None, :, :]) % m) @ strides
+        np.add.at(counts, flat.ravel(), 1)
+    bad = np.flatnonzero(counts != 1)
+    if bad.size:
+        idx = int(bad[0])
+        cell = []
+        for i in range(n):
+            cell.append(idx // int(strides[i]))
+            idx %= int(strides[i])
+        kind = "doubly covered" if counts[bad[0]] > 1 else "uncovered"
+        return Verdict.failed(f"torus cell {kind}", tuple(cell), copies=copies, cells=cells)
+    return Verdict.passed(copies=copies, cells=cells)

@@ -242,6 +242,23 @@ class TestSearch:
         assert rc == 4
         assert json.loads(err)["error"]["type"] == "BudgetExceeded"
 
+    def test_bad_budget_exits_2(self, capsys, monkeypatch):
+        argv = ("search", "--n", "4", "--t", "2", "--ell", "1", "--mode", "exhaustive")
+        for value in ("-5", "0", "1e6"):
+            monkeypatch.setenv("CHAIRCODES_BUDGET", value)
+            rc, out, err = run_cli(capsys, *argv)
+            assert (rc, out) == (2, ""), value
+            error = json.loads(err)["error"]
+            assert error["type"] == "BadParameters"
+            assert "CHAIRCODES_BUDGET" in error["message"]
+        monkeypatch.delenv("CHAIRCODES_BUDGET")
+        for value in ("-3", "0"):
+            rc, out, err = run_cli(capsys, *argv, "--budget", value)
+            assert (rc, out) == (2, ""), value
+            error = json.loads(err)["error"]
+            assert error["type"] == "BadParameters"
+            assert error["message"] == f"budget must be >= 1, got {value}"
+
     def test_divisibility_requires_matching_t(self, capsys):
         rc, _, err = run_cli(capsys, "search", "--n", "5", "--t", "2", "--ell", "1")
         assert rc == 2

@@ -77,6 +77,17 @@ def _nonsingular(rng: random.Random, n: int) -> IntMatrix:
             return m
 
 
+# the dependency shows at the first, a middle and the last pivot
+SINGULAR = (
+    ((0,),),
+    ((1, 1), (1, 1)),
+    ((2, 4), (1, 2)),
+    ((1, 0, 0), (0, 0, 0), (0, 0, 1)),
+    ((1, 2, 3), (4, 5, 6), (7, 8, 9)),
+    ((2, 1, 0, 3), (4, 2, 0, 6), (1, 5, 7, 2), (3, 0, 1, 1)),
+)
+
+
 class TestSmithNormalForm:
     def test_identity(self):
         u, d, v = xm.smith_normal_form(IntMatrix.identity(4))
@@ -91,8 +102,9 @@ class TestSmithNormalForm:
         assert d.entries == ((2, 0), (0, 2))
 
     def test_singular_rejected(self):
-        with pytest.raises(SingularMatrix):
-            xm.smith_normal_form(IntMatrix(((1, 1), (1, 1))))
+        for rows in SINGULAR:
+            with pytest.raises(SingularMatrix):
+                xm.smith_normal_form(IntMatrix(rows))
 
     def test_decomposition_properties(self):
         rng = random.Random(23)
@@ -119,8 +131,9 @@ class TestHermiteNormalForm:
         assert h.entries == ((1, 0), (1, 3))
 
     def test_singular_rejected(self):
-        with pytest.raises(SingularMatrix):
-            xm.hermite_normal_form(IntMatrix(((2, 4), (1, 2))))
+        for rows in SINGULAR:
+            with pytest.raises(SingularMatrix):
+                xm.hermite_normal_form(IntMatrix(rows))
 
     def test_idempotent_and_canonical(self):
         rng = random.Random(31)

@@ -1,10 +1,10 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from chaircodes import lattice as lattice_module
 from chaircodes.chair import Chair, enumerate_points, volume
 from chaircodes.codes import _hnf_candidates
 from chaircodes.errors import BadModulus, BudgetExceeded, NonIntegerLattice, NotDiscrete, SingularMatrix
@@ -24,6 +24,7 @@ from oracles import (
     random_chair,
     random_rational_chair,
     random_unimodular,
+    reference_torus_tiling_oracle,
     reference_verify_packing,
 )
 
@@ -318,21 +319,44 @@ class TestTorusOracle:
             torus = torus_tiling_oracle(lat, c, m)
             assert tiling.ok == torus.ok
 
-    def test_chunked_matches_unchunked(self, monkeypatch):
-        rng = random.Random(43)
-        pairs = []
-        while len(pairs) < 12:
-            n = rng.choice([2, 3])
-            c = random_chair(rng, n, max_side=4)
-            lat = chair_lattice(c if len(pairs) % 2 else random_chair(rng, n, max_side=4))
-            if int(lat.volume) ** n <= 5000:
-                pairs.append((lat, c))
-        monkeypatch.setattr(lattice_module, "TORUS_CHUNK_BYTES", 1 << 62)
-        whole = [torus_tiling_oracle(lat, c) for lat, c in pairs]
-        assert {v.ok for v in whole} == {True, False}
-        for cap in (1, 8 * 3 * 7 * 5):
-            monkeypatch.setattr(lattice_module, "TORUS_CHUNK_BYTES", cap)
-            assert [torus_tiling_oracle(lat, c) for lat, c in pairs] == whole
+    def test_matches_numpy_reference(self):
+        # full Verdict equality, witness and details included, and the same
+        # errors, against the int64 cover count the bit-parallel pass replaced
+        rng = random.Random(53)
+        outcomes = Counter()
+        for case in range(600):
+            n = case % 4 + 1
+            while True:
+                c = random_chair(rng, n, max_side=3 if n == 4 else 5)
+                other = c if rng.random() < 0.5 else random_chair(rng, n, max_side=3 if n == 4 else 5)
+                rows = [list(r) for r in chair_lattice(other).generator]
+                if rng.random() < 0.4:
+                    rows[rng.randrange(n)][rng.randrange(n)] += rng.choice((-1, 1))
+                try:
+                    lat = Lattice(rows)
+                except SingularMatrix:
+                    continue
+                exponent = lat.divisors[-1]
+                if rng.random() < 0.9:
+                    m = exponent * rng.choice((1, 1, 2, 3))
+                else:
+                    m = rng.randint(0, 3 * exponent)
+                if m**n <= (10**5 if n == 4 else 5000):
+                    break
+            budget = max(1, m**n - 1) if rng.random() < 0.05 else None
+            got = []
+            for oracle in (torus_tiling_oracle, reference_torus_tiling_oracle):
+                try:
+                    got.append(oracle(lat, c, m, budget))
+                except (BadModulus, BudgetExceeded) as exc:
+                    got.append(type(exc).__name__)
+            assert got[0] == got[1], (rows, c.sides, c.notch, m, budget)
+            verdict = got[0]
+            outcomes[verdict if isinstance(verdict, str) else verdict.reason or "ok"] += 1
+            outcomes["m != volume"] += m != lat.volume
+        for kind in ("ok", "torus cell uncovered", "torus cell doubly covered", "m != volume"):
+            assert outcomes[kind] >= 50, outcomes
+        assert min(outcomes["BadModulus"], outcomes["BudgetExceeded"]) > 0, outcomes
 
 
 class TestExhaustiveSmallGrid:

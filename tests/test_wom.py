@@ -147,10 +147,10 @@ class TestExports:
 
 def seeded_colorings(seed=2012, bases=56):
     """(label, coloring, chair) triples: seeded chair colorings on torus,
-    interior and vacuous grids, each with five corrupted copies."""
+    interior and vacuous grids, each with six corrupted copies."""
     rng = random.Random(seed)
     out = []
-    while len(out) < 6 * bases:
+    while len(out) < 7 * bases:
         n = rng.choice((1, 2, 2, 3))
         c = random_chair(rng, n, max_side=4 if n < 3 else 3)
         lat = chair_lattice(c)
@@ -172,11 +172,14 @@ def seeded_colorings(seed=2012, bases=56):
         recolored[i] = (recolored[i] + rng.randint(1, max(1, sigma - 1))) % sigma
         foreign = list(col.colors)
         foreign[i] = foreign[min(i + 1, cells - 1)] = sigma + rng.randrange(3)
+        lone = list(col.colors)
+        lone[i] = sigma + 1 if i % 2 else -1
         out += [
             ("intact", col, c),
             ("swapped", variant(swapped), c),
             ("recolored", variant(recolored), c),
             ("color >= sigma", variant(foreign), c),
+            ("one foreign cell", variant(lone), c),
             ("sigma + 1", variant(col.colors, sigma + 1), c),
             ("sigma - 1", variant(col.colors, sigma - 1), c),
         ]
@@ -206,7 +209,7 @@ class TestAgainstReference:
             rejected[label] += not verdict.ok
         assert min(modes["torus"], modes["interior"], modes["vacuous"]) >= 20, modes
         assert rejected["intact"] == 0
-        for label in ("swapped", "recolored", "color >= sigma", "sigma + 1"):
+        for label in ("swapped", "recolored", "color >= sigma", "one foreign cell", "sigma + 1", "sigma - 1"):
             assert rejected[label] > 0, rejected
 
     def test_wide_palette(self):
