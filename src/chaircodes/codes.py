@@ -244,11 +244,6 @@ def extract_alphabet_code(code: LatticeCode, sigma: int, budget: int | None = No
     return AlphabetCode(sigma, n, tuple(words))
 
 
-def n_plus_minus(p: Sequence[int]) -> tuple[int, int]:
-    """Counts of strictly positive and strictly negative coordinates."""
-    return sum(1 for x in p if x > 0), sum(1 for x in p if x < 0)
-
-
 @dataclass(frozen=True)
 class SearchVerdict:
     """Result of a nonexistence test or an exhaustive perfect-code search."""

@@ -7,6 +7,8 @@ transposed generator (columns as basis), so two generators describe the same
 lattice exactly when their canonical forms are equal.  Quotient structure
 Z^n / lattice comes from the Smith normal form of the generator, as a
 SplittingSequence: the labels of the unit vectors in Z_d1 + ... + Z_dk.
+Lattice points in a box are the points of label zero, found by joining the
+labels of two half-boxes.
 A rational lattice L is handled through its integer model sL, s being the
 least integer with sL inside Z^n.
 """
@@ -117,16 +119,23 @@ class SplittingSequence:
         """Image of p in G: its dot product with each factor's residues."""
         return tuple([sum(map(operator.mul, p, row)) % d for row, d in self._factors])
 
+    def box_values(self, ranges: Sequence[range], start: int = 0, sign: int = 1) -> list[list[int]]:
+        """Per factor, sign * value(x) for every x of product(*ranges) placed
+        at coordinates start.., in product order, built one axis at a time."""
+        cols = []
+        for r, d in self._factors:
+            col = [0]
+            for b, xs in zip(r[start:], ranges):
+                steps = [sign * x * b % d for x in xs]
+                col = [(g + t) % d for g in col for t in steps]
+            cols.append(col)
+        return cols
+
     def grid_rows(self, ranges: Sequence[range], row: Callable[[list[tuple[int, ...]]], object]) -> list:
         """row(the values of a row's cells) for each row of the grid
         product(*ranges), in order.  Along a row the values are g + x*value(e_n),
         g the value at x = 0, so the rows that share g share one call."""
-        firsts = []  # per factor, g of every row, built one axis at a time
-        for r, d in self._factors:
-            col = [0]
-            for b, xs in zip(r, ranges[:-1]):
-                col = [(g + x * b) % d for g in col for x in xs]
-            firsts.append(col)
+        firsts = self.box_values(ranges[:-1])
         gs = list(zip(*firsts)) if firsts else [()] * math.prod(map(len, ranges[:-1]))
         steps = [[x * r[-1] for x in ranges[-1]] for r in self.residues]
         rows: dict[tuple[int, ...], object] = {}
@@ -287,52 +296,73 @@ def chair_lattice(c: Chair) -> Lattice:
     return Lattice(rows)
 
 
-def lattice_points_in_box(lat: Lattice, max_abs: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """All integer-lattice points x with |x_i| <= max_abs[i], zero included.
+def _value_keys(s: SplittingSequence, ranges: Sequence[range], start: int, sign: int) -> list[int]:
+    """s.box_values with each point's values as one mixed-radix int."""
+    keys = [0] * math.prod(map(len, ranges))
+    radix = 1
+    for col, d in zip(s.box_values(ranges, start, sign), s.divisors):
+        keys = col if radix == 1 else [k + radix * v for k, v in zip(keys, col)]
+        radix *= d
+    return keys
 
-    Works down the lower-triangular canonical basis, so only coefficient
-    ranges that can stay inside the box are ever visited.
+
+def _box_point(ranges: Sequence[range], i: int) -> tuple[int, ...]:
+    """The i-th point of product(*ranges)."""
+    x = []
+    for r in reversed(ranges):
+        i, j = divmod(i, len(r))
+        x.append(r[j])
+    return tuple(reversed(x))
+
+
+def box_join(
+    s: SplittingSequence, bounds: Sequence[int], budget: int | None = None
+) -> Iterator[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
+    """The points x with |x_i| <= bounds[i] and value(x) = 0, met in the middle.
+
+    The coordinates split into a prefix A and a suffix B whose half-boxes are
+    as equal in size as the split allows.  Every x_A is tabled by its value
+    and every x_B by its negated value, and x_A + x_B has value 0 exactly
+    when the two agree.  Yields each x_A that some x_B completes, with those
+    x_B; both come in lexicographic order.  The two tables are the memory,
+    and the larger is checked against the budget.
     """
-    h = lat.canonical().entries  # lower triangular, columns are basis vectors
-    n = lat.n
-    coords = [0] * n
-    bounds = [int(b) for b in max_abs]
+    if len(bounds) != s.n:
+        raise DimensionMismatch(f"{len(bounds)} bounds for {s.n} coordinates")
+    ranges = [range(-b, b + 1) for b in bounds]
+    sizes = [len(r) for r in ranges]
+    half, a = min((max(math.prod(sizes[:a]), math.prod(sizes[a:])), a) for a in range(len(sizes) + 1))
+    check_budget(half, budget, "lattice box join")
+    prefix, suffix = ranges[:a], ranges[a:]
+    keys_a = _value_keys(s, prefix, 0, 1)
+    keys_b = _value_keys(s, suffix, a, -1)
+    completions: dict[int, list[tuple[int, ...]]] = {k: [] for k in set(keys_a).intersection(keys_b)}
+    for j in [j for j, k in enumerate(keys_b) if k in completions]:
+        completions[keys_b[j]].append(_box_point(suffix, j))
+    for i in [i for i, k in enumerate(keys_a) if k in completions]:
+        yield _box_point(prefix, i), completions[keys_a[i]]
 
-    def rec(i: int) -> Iterator[tuple[int, ...]]:
-        if i == n:
-            yield tuple(coords)
-            return
-        d = h[i][i]
-        base = coords[i]
-        cmin = -((bounds[i] + base) // d)
-        cmax = (bounds[i] - base) // d
-        if cmin > cmax:
-            return
-        col = [h[r][i] for r in range(i, n)]
-        if cmin:
-            for r in range(i, n):
-                coords[r] += cmin * col[r - i]
-        c = cmin
-        while True:
-            yield from rec(i + 1)
-            if c == cmax:
-                break
-            c += 1
-            for r in range(i, n):
-                coords[r] += col[r - i]
-        for r in range(i, n):
-            coords[r] -= cmax * col[r - i]
 
-    return rec(0)
+def lattice_points_in_box(lat: Lattice, max_abs: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """All integer-lattice points x with |x_i| <= max_abs[i], zero included,
+    in lexicographic order.
+
+    The lattice is the kernel of its labelling, so these are box_join's
+    points.  Lexicographic order is also the order of a walk down the
+    lower-triangular Hermite basis, whose coefficients follow x coordinate by
+    coordinate.
+    """
+    groups = box_join(lat.labeling(), [int(b) for b in max_abs])
+    return (xa + xb for xa, xbs in groups for xb in xbs)
 
 
 def verify_packing(lat: Lattice, c: Chair) -> Verdict:
     """Check that chair copies at lattice points are pairwise disjoint.
 
     Every nonzero lattice point in the open box (-l_i, l_i) is tested with the
-    closed-form intersection criterion; any hit is a counterexample.  The walk
-    runs on the integer model sL, whose points x with |x_i| < s*l_i are the
-    shifts x/s to test.
+    closed-form intersection criterion; any hit is a counterexample.  The box
+    is searched on the integer model sL, whose points x with |x_i| < s*l_i
+    are the shifts x/s to test.
     """
     if lat.n != c.n:
         raise DimensionMismatch(f"lattice is {lat.n}-dimensional, chair is {c.n}-dimensional")
@@ -352,7 +382,7 @@ def verify_tiling(lat: Lattice, c: Chair) -> Verdict:
 
     Packing puts the chair's points in distinct cosets: two points p != q of
     one coset would make x = p - q a lattice vector with |x_i| < l_i whose
-    copy of the chair meets the one at 0 in p, and the packing walk reports
+    copy of the chair meets the one at 0 in p, and the packing check reports
     every such x.  With the lattice's index equal to the chair's volume those
     distinct cosets are all of them, so the copies cover space exactly once.
     Integer and rational inputs follow the same rule.

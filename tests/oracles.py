@@ -15,11 +15,11 @@ from itertools import product
 import numpy as np
 
 from chaircodes.budget import check_budget
-from chaircodes.chair import Chair, as_exact, enumerate_points, shifted_copies_intersect
+from chaircodes.chair import Chair, as_exact, enumerate_points, shifted_copies_intersect, volume
 from chaircodes.codes import SearchVerdict, _hnf_candidates, sphere_size
 from chaircodes.errors import BadModulus, BudgetExceeded, DimensionMismatch, NonIntegerLattice, NotDiscrete
 from chaircodes.exactmath import IntMatrix
-from chaircodes.lattice import Lattice, Verdict, lattice_points_in_box
+from chaircodes.lattice import Lattice, SplittingSequence, Verdict
 from chaircodes.wom import Coloring
 
 
@@ -120,6 +120,64 @@ def reference_perfect_search(n: int, t: int, ell: int) -> SearchVerdict:
     return SearchVerdict("Found" if found else "NoPerfectCode", examined=examined, found=tuple(found))
 
 
+def reference_lattice_points_in_box(lat: Lattice, max_abs):
+    """All integer-lattice points x with |x_i| <= max_abs[i], zero included.
+
+    Works down the lower-triangular canonical basis, so only coefficient
+    ranges that can stay inside the box are ever visited.
+    """
+    h = lat.canonical().entries  # lower triangular, columns are basis vectors
+    n = lat.n
+    coords = [0] * n
+    bounds = [int(b) for b in max_abs]
+
+    def rec(i: int):
+        if i == n:
+            yield tuple(coords)
+            return
+        d = h[i][i]
+        base = coords[i]
+        cmin = -((bounds[i] + base) // d)
+        cmax = (bounds[i] - base) // d
+        if cmin > cmax:
+            return
+        col = [h[r][i] for r in range(i, n)]
+        if cmin:
+            for r in range(i, n):
+                coords[r] += cmin * col[r - i]
+        c = cmin
+        while True:
+            yield from rec(i + 1)
+            if c == cmax:
+                break
+            c += 1
+            for r in range(i, n):
+                coords[r] += col[r - i]
+        for r in range(i, n):
+            coords[r] -= cmax * col[r - i]
+
+    return rec(0)
+
+
+def reference_verify_splitting(c: Chair, s: SplittingSequence, budget: int | None = None) -> Verdict:
+    """Splitting check by labelling every chair point and stopping at the
+    first value seen twice."""
+    vol = int(volume(c))
+    check_budget(vol, budget, "splitting verification")
+    if s.n != c.n:
+        return Verdict.failed("sequence length does not match chair dimension")
+    if s.order != vol:
+        return Verdict.failed("group order does not match chair volume",
+                              group_order=s.order, chair_volume=vol)
+    seen: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for p in enumerate_points(c, budget):
+        val = s.value(p)
+        if val in seen:
+            return Verdict.failed("two chair points share a group value", (seen[val], p))
+        seen[val] = p
+    return Verdict.passed(values=len(seen))
+
+
 def reference_verify_packing(lat: Lattice, c: Chair) -> Verdict:
     """Packing check on the common-denominator integer model of the pair: the
     lattice and the chair are both scaled by the lcm S of every denominator in
@@ -129,7 +187,7 @@ def reference_verify_packing(lat: Lattice, c: Chair) -> Verdict:
                  *(x.denominator for x in c.sides + c.notch))
     ilat = Lattice([[x * s for x in row] for row in lat.generator])
     ic = Chair(tuple(l * s for l in c.sides), tuple(k * s for k in c.notch))
-    for x in lattice_points_in_box(ilat, [l - 1 for l in ic.int_sides()]):
+    for x in reference_lattice_points_in_box(ilat, [l - 1 for l in ic.int_sides()]):
         if any(x) and shifted_copies_intersect(ic, x):
             return Verdict.failed("copies at 0 and witness overlap",
                                   tuple(as_exact(Fraction(xi, s)) for xi in x))

@@ -85,6 +85,14 @@ class TestConstruct:
         r2.pop("timings_ms")
         assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
 
+    def test_8d_chair(self, capsys):
+        # 5,699,265 chair points, over the default budget of 10^6
+        rc, out, _ = run_cli(capsys, "construct", "--l", ",".join(["7"] * 8), "--k", ",".join(["4"] * 8))
+        assert rc == 0
+        verdicts = report_of(out)["verdicts"]
+        assert verdicts["tiling"] == {"ok": True}
+        assert verdicts["splitting"] == {"ok": True, "detail": {"values": str(7**8 - 4**8)}}
+
     def test_code_out(self, capsys, tmp_path):
         path = tmp_path / "code.json"
         rc, out, _ = run_cli(capsys, "construct", "--l", "2,2,2", "--k", "1,1,1", "--code-out", str(path))
@@ -123,6 +131,14 @@ class TestVerify:
         assert rc == 2
         assert out == ""
         assert json.loads(err)["error"]["type"] == "BadParameters"
+
+    @pytest.mark.parametrize("m", ["4", "5"])
+    def test_rational_splitting_exits_2(self, capsys, m):
+        # the chair's volume is 9/2, so neither modulus can be its group order
+        rc, out, err = run_cli(capsys, "verify", "--l", "5/2,2", "--k", "1/2,1", "--m", m, "--beta", "1,1")
+        assert rc == 2
+        assert out == ""
+        assert json.loads(err)["error"]["type"] == "NotDiscrete"
 
     def test_generator_file(self, capsys, tmp_path):
         path = tmp_path / "lat.json"

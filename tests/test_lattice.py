@@ -7,9 +7,18 @@ import pytest
 
 from chaircodes.chair import Chair, enumerate_points, volume
 from chaircodes.codes import _hnf_candidates
-from chaircodes.errors import BadModulus, BudgetExceeded, NonIntegerLattice, NotDiscrete, SingularMatrix
+from chaircodes.errors import (
+    BadModulus,
+    BudgetExceeded,
+    DimensionMismatch,
+    NonIntegerLattice,
+    NotDiscrete,
+    SingularMatrix,
+)
+from chaircodes.exactmath import IntMatrix
 from chaircodes.lattice import (
     Lattice,
+    box_join,
     chair_lattice,
     lattice_points_in_box,
     torus_tiling_oracle,
@@ -24,6 +33,7 @@ from oracles import (
     random_chair,
     random_rational_chair,
     random_unimodular,
+    reference_lattice_points_in_box,
     reference_torus_tiling_oracle,
     reference_verify_packing,
 )
@@ -207,6 +217,84 @@ class TestBoxEnumeration:
                 if lat.member(p)
             }
             assert pts == expected
+
+
+def _box_cases(rng: random.Random, count: int):
+    """(kind, lattice, bounds) for comparing the box join with the HNF walk.
+
+    Kinds: chair lattices with their packing bounds l_i - 1, perturbed chair
+    lattices, dense lattices of volume <= 3, lattices whose quotient has 2-4
+    nontrivial factors, integer models of rational chair lattices, and zero
+    bounds.  The random bounds keep the walk's box small."""
+    caps = {1: 30, 2: 10, 3: 5, 4: 3, 5: 2, 6: 2}
+    kinds = ("chair", "perturbed", "dense", "factors", "rational", "zero")
+    made = 0
+    while made < count:
+        kind = kinds[made % len(kinds)]
+        n = rng.randint(1, 6)
+        bounds = [rng.randint(0, caps[n]) for _ in range(n)]
+        if kind in ("chair", "perturbed"):
+            c = random_chair(rng, n, max(2, 7 - n))
+            bounds = [l - 1 for l in c.int_sides()]
+            rows = [list(r) for r in chair_lattice(c).generator]
+            if kind == "perturbed":
+                i, j = rng.randrange(n), rng.randrange(n)
+                rows[i][j] += rng.choice([-2, -1, 1, 2])
+        elif kind in ("dense", "factors"):
+            if kind == "dense":
+                diag = [1] * (n - 1) + [rng.randint(1, 3)]
+            else:
+                k = rng.randint(2, min(4, n)) if n > 1 else 1
+                g = rng.choice([2, 3])
+                diag = [1] * (n - k) + [g * rng.choice([1, 1, 2, 3]) for _ in range(k)]
+            d = IntMatrix(tuple(tuple(diag[i] if i == j else 0 for j in range(n)) for i in range(n)))
+            rows = (random_unimodular(n, rng) @ d @ random_unimodular(n, rng)).entries
+        elif kind == "rational":
+            rows = chair_lattice(random_rational_chair(rng, n)).integer_model().generator
+        else:
+            c = random_chair(rng, n, 4)
+            rows = chair_lattice(c).generator
+            bounds = [0] * n if rng.random() < 0.5 else [b * rng.randint(0, 1) for b in bounds]
+        try:
+            lat = Lattice(rows)
+        except SingularMatrix:
+            continue
+        made += 1
+        yield kind, lat, bounds
+
+
+class TestBoxJoin:
+    def test_matches_hnf_walk(self):
+        # same points in the same order as the walk down the Hermite basis
+        rng = random.Random(101)
+        points = Counter()
+        factors = Counter()
+        for kind, lat, bounds in _box_cases(rng, 2100):
+            got = list(lattice_points_in_box(lat, bounds))
+            assert got == list(reference_lattice_points_in_box(lat, bounds)), (kind, lat, bounds)
+            points[kind] += len(got)
+            factors[len(lat.labeling().divisors)] += kind == "factors"
+        assert sum(points.values()) > 50_000
+        assert points["dense"] > 20_000 and points["zero"] >= 2100 // 6
+        assert all(factors[k] > 20 for k in (2, 3, 4))
+
+    def test_budget_covers_the_larger_half(self):
+        lat = chair_lattice(Chair((7,) * 4, (4,) * 4))
+        assert list(lattice_points_in_box(lat, [6] * 4))  # halves of 13^2 cells
+        with pytest.raises(BudgetExceeded):
+            next(box_join(lat.labeling(), [6] * 4, budget=13**2 - 1))
+
+    def test_bounds_must_match_dimension(self):
+        lat = chair_lattice(Chair((3, 3, 3), (2, 2, 2)))
+        for bounds in ([1, 1], [1, 1, 1, 1]):
+            with pytest.raises(DimensionMismatch):
+                list(lattice_points_in_box(lat, bounds))
+
+    def test_14d_chair_exceeds_budget(self):
+        # halves of 13^7 cells; a walk would visit about 13^13 nodes
+        c = Chair((7,) * 14, (4,) * 14)
+        with pytest.raises(BudgetExceeded):
+            verify_tiling(chair_lattice(c), c)
 
 
 class TestVerifyPacking:

@@ -1,14 +1,15 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chaircodes.chair import Chair, enumerate_points, volume
-from chaircodes.errors import BadParameters, HypothesisViolated, NotDiscrete
+from chaircodes.errors import BadParameters, BudgetExceeded, HypothesisViolated, NotDiscrete
 from chaircodes.exactmath import IntMatrix, determinant, hnf_residue
-from chaircodes.lattice import Lattice, SplittingSequence, chair_lattice, verify_tiling
+from chaircodes.lattice import Lattice, SplittingSequence, Verdict, chair_lattice, verify_tiling
 from chaircodes.splitting import (
     alpha_unit,
     general_chair_splitting,
@@ -18,7 +19,7 @@ from chaircodes.splitting import (
     verify_splitting,
 )
 
-from oracles import random_chair
+from oracles import random_chair, reference_verify_splitting
 
 
 class TestSplittingSequence:
@@ -184,6 +185,63 @@ class TestVerifySplitting:
         verdict = verify_splitting(c, SplittingSequence.cyclic(4, (1, 2)))
         assert not verdict.ok
         assert "order" in verdict.reason
+
+    def test_rational_chair_not_discrete(self):
+        # 9/2 is not a group order; the check must not truncate it to 4
+        c = Chair(("5/2", 2), ("1/2", 1))
+        for m in (4, 5):
+            with pytest.raises(NotDiscrete):
+                verify_splitting(c, SplittingSequence.cyclic(m, (1, 1)))
+
+    def test_budget(self):
+        # a passing check tables half-boxes of 13^4 values; a failing one
+        # enumerates all 5,699,265 chair points
+        c = Chair((7,) * 8, (4,) * 8)
+        s = general_chair_splitting(c)
+        assert verify_splitting(c, s, budget=13**4) == Verdict.passed(values=7**8 - 4**8)
+        with pytest.raises(BudgetExceeded):
+            verify_splitting(c, s, budget=13**4 - 1)
+        wrong = SplittingSequence.cyclic(s.order, (1,) * 8)
+        with pytest.raises(BudgetExceeded):
+            verify_splitting(c, wrong, budget=13**4)
+
+    def test_matches_enumeration_reference(self):
+        # full Verdict equality, witness included, with the scan that labels
+        # every chair point
+        rng = random.Random(211)
+        kinds = ("constructed", "round trip", "random beta", "random factors", "wrong order")
+        outcomes = Counter()
+        for i in range(600):
+            kind = kinds[i % len(kinds)]
+            n = rng.randint(1, 5)
+            g = rng.choice([1, 2, 3]) if kind == "round trip" and n > 1 else 1
+            c = random_chair(rng, n, max(2, 6 - n))
+            c = Chair(tuple(g * l for l in c.sides), tuple(g * k for k in c.notch))
+            vol = int(volume(c))
+            if kind == "constructed":
+                try:
+                    s = general_chair_splitting(c)
+                except HypothesisViolated:  # needs two notch sides, so n > 1
+                    c, s = Chair((2,) * n, (1,) * n), uniform_chair_splitting(n, 2)
+            elif kind == "round trip":
+                s = lattice_to_splitting(chair_lattice(c))
+            elif kind == "random beta":
+                s = SplittingSequence.cyclic(vol, [rng.randrange(vol) for _ in range(n)])
+            elif kind == "random factors":
+                d = rng.choice([d for d in range(1, vol + 1) if vol % d == 0 and (vol // d) % d == 0])
+                s = SplittingSequence((d, vol // d), [[rng.randrange(m) for _ in range(n)] for m in (d, vol // d)])
+            else:
+                m = rng.choice([vol + 1, 2 * vol] + [vol - 1] * (vol > 1))
+                length = max(1, n + rng.choice([-1, 0, 0, 1]))
+                s = SplittingSequence.cyclic(m, [rng.randrange(m) for _ in range(length)])
+            verdict = verify_splitting(c, s)
+            assert verdict == reference_verify_splitting(c, s), (kind, c, s)
+            outcomes[kind, verdict.ok, len(s.divisors) > 1] += 1
+        assert outcomes["constructed", True, False] == 120
+        assert outcomes["round trip", True, True] > 20
+        assert outcomes["random beta", False, False] > outcomes["random beta", True, False] > 5
+        assert outcomes["random factors", False, True] > 20
+        assert outcomes["wrong order", False, False] == 120
 
 
 class TestSplittingToLattice:
