@@ -7,8 +7,9 @@ transposed generator (columns as basis), so two generators describe the same
 lattice exactly when their canonical forms are equal.  Quotient structure
 Z^n / lattice comes from the Smith normal form of the generator, as a
 SplittingSequence: the labels of the unit vectors in Z_d1 + ... + Z_dk.
-Lattice points in a box are the points of label zero, found by joining the
-labels of two half-boxes.
+Lattice points in a box are found by a walk down the Hermite basis or, as the
+points of label zero, by joining the labels of two half-boxes, whichever is
+smaller for the lattice and box at hand.
 A rational lattice L is handled through its integer model sL, s being the
 least integer with sL inside Z^n.
 """
@@ -315,6 +316,16 @@ def _box_point(ranges: Sequence[range], i: int) -> tuple[int, ...]:
     return tuple(reversed(x))
 
 
+def join_size(bounds: Sequence[int]) -> int:
+    """Entries in the larger half table of box_join over the box |x_i| <= bounds[i]."""
+    return _split([max(2 * b + 1, 0) for b in bounds])[0]
+
+
+def _split(sizes: list[int]) -> tuple[int, int]:
+    """(larger half-box, prefix length) of the most even prefix/suffix split."""
+    return min((max(math.prod(sizes[:a]), math.prod(sizes[a:])), a) for a in range(len(sizes) + 1))
+
+
 def box_join(
     s: SplittingSequence, bounds: Sequence[int], budget: int | None = None
 ) -> Iterator[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
@@ -330,8 +341,7 @@ def box_join(
     if len(bounds) != s.n:
         raise DimensionMismatch(f"{len(bounds)} bounds for {s.n} coordinates")
     ranges = [range(-b, b + 1) for b in bounds]
-    sizes = [len(r) for r in ranges]
-    half, a = min((max(math.prod(sizes[:a]), math.prod(sizes[a:])), a) for a in range(len(sizes) + 1))
+    half, a = _split([len(r) for r in ranges])
     check_budget(half, budget, "lattice box join")
     prefix, suffix = ranges[:a], ranges[a:]
     keys_a = _value_keys(s, prefix, 0, 1)
@@ -343,16 +353,74 @@ def box_join(
         yield _box_point(prefix, i), completions[keys_a[i]]
 
 
+def _walk_size(h: Sequence[Sequence[int]], bounds: Sequence[int]) -> int:
+    """Most nodes _walk visits: below each node of depth i, the coefficient
+    of basis column i takes at most 2*bounds[i] // h[i][i] + 1 values."""
+    total = level = 1
+    for i, b in enumerate(bounds):
+        level *= max(2 * b // h[i][i] + 1, 0)
+        total += level
+    return total
+
+
+def _walk(h: Sequence[Sequence[int]], bounds: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """The points of the lattice spanned by the columns of the lower-triangular
+    h in the box |x_i| <= bounds[i], walking down the basis, so only
+    coefficient ranges that can stay inside the box are ever visited."""
+    n = len(bounds)
+    coords = [0] * n
+
+    def rec(i: int) -> Iterator[tuple[int, ...]]:
+        if i == n:
+            yield tuple(coords)
+            return
+        d = h[i][i]
+        base = coords[i]
+        cmin = -((bounds[i] + base) // d)
+        cmax = (bounds[i] - base) // d
+        if cmin > cmax:
+            return
+        col = [h[r][i] for r in range(i, n)]
+        if cmin:
+            for r in range(i, n):
+                coords[r] += cmin * col[r - i]
+        c = cmin
+        while True:
+            yield from rec(i + 1)
+            if c == cmax:
+                break
+            c += 1
+            for r in range(i, n):
+                coords[r] += col[r - i]
+        for r in range(i, n):
+            coords[r] -= cmax * col[r - i]
+
+    return rec(0)
+
+
 def lattice_points_in_box(lat: Lattice, max_abs: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """All integer-lattice points x with |x_i| <= max_abs[i], zero included,
     in lexicographic order.
 
-    The lattice is the kernel of its labelling, so these are box_join's
-    points.  Lexicographic order is also the order of a walk down the
-    lower-triangular Hermite basis, whose coefficients follow x coordinate by
-    coordinate.
+    Two exact searches are sized before either runs.  A walk down the
+    lower-triangular Hermite basis visits at most _walk_size nodes, few when
+    the lattice is sparse in the box (large Hermite diagonal entries).  The
+    lattice is the kernel of its labelling, so box_join on it finds the same
+    points with two tables of at most join_size entries, few when the box is
+    small however dense the lattice.  The smaller of the two sizes runs and is
+    checked against the budget.  Both yield in lexicographic order: the walk
+    is lexicographic in the Hermite coefficients, which on a lower-triangular
+    basis with positive diagonal order the points as x does.
     """
-    groups = box_join(lat.labeling(), [int(b) for b in max_abs])
+    bounds = [int(b) for b in max_abs]
+    if len(bounds) != lat.n:
+        raise DimensionMismatch(f"{len(bounds)} bounds for {lat.n} coordinates")
+    h = lat.canonical().entries
+    nodes = _walk_size(h, bounds)
+    if nodes < join_size(bounds):
+        check_budget(nodes, None, "lattice box walk")
+        return _walk(h, bounds)
+    groups = box_join(lat.labeling(), bounds)
     return (xa + xb for xa, xbs in groups for xb in xbs)
 
 

@@ -140,6 +140,19 @@ class TestVerify:
         assert out == ""
         assert json.loads(err)["error"]["type"] == "NotDiscrete"
 
+    def test_sparse_lattices_in_large_boxes(self, capsys, tmp_path, monkeypatch):
+        # the join's half tables exceed the budget, the walk's few nodes do not
+        rc, out, _ = run_cli(capsys, "verify", "--l", "2000000", "--k", "1")
+        assert rc == 0
+        path = tmp_path / "lat.json"
+        path.write_text(json.dumps({"generator": [["2000", "0", "0"], ["0", "2000", "0"], ["0", "0", "2000"]]}))
+        rc, out, _ = run_cli(capsys, "verify", "--l", "2000,2000,2000", "--k", "1,1,1", "--generator", str(path))
+        assert rc == 5
+        assert report_of(out)["verdicts"]["tiling"]["reason"] == "volume mismatch"
+        monkeypatch.setenv("CHAIRCODES_BUDGET", "1000")
+        rc, out, _ = run_cli(capsys, "verify", "--l", "1000", "--k", "1", "--m", "999", "--beta", "1")
+        assert rc == 0
+
     def test_generator_file(self, capsys, tmp_path):
         path = tmp_path / "lat.json"
         path.write_text(json.dumps({"generator": [["5", "0"], ["0", "1"]]}))

@@ -20,6 +20,7 @@ from chaircodes.lattice import (
     Lattice,
     box_join,
     chair_lattice,
+    join_size,
     lattice_points_in_box,
     torus_tiling_oracle,
     verify_packing,
@@ -271,12 +272,31 @@ class TestBoxJoin:
         factors = Counter()
         for kind, lat, bounds in _box_cases(rng, 2100):
             got = list(lattice_points_in_box(lat, bounds))
-            assert got == list(reference_lattice_points_in_box(lat, bounds)), (kind, lat, bounds)
+            joined = [xa + xb for xa, xbs in box_join(lat.labeling(), bounds) for xb in xbs]
+            assert got == joined == list(reference_lattice_points_in_box(lat, bounds)), (kind, lat, bounds)
             points[kind] += len(got)
             factors[len(lat.labeling().divisors)] += kind == "factors"
         assert sum(points.values()) > 50_000
         assert points["dense"] > 20_000 and points["zero"] >= 2100 // 6
         assert all(factors[k] > 20 for k in (2, 3, 4))
+
+    def test_sparse_lattices_walk_within_budget(self, monkeypatch):
+        # large Hermite diagonal entries leave few points in a box whose
+        # half tables exceed the budget; the walk finds them
+        monkeypatch.setenv("CHAIRCODES_BUDGET", "1000")
+        rng = random.Random(131)
+        points = 0
+        for _ in range(300):
+            n = rng.randint(1, 3)
+            rows = [[rng.randint(200, 3000) if i == j else rng.randint(-50, 50) * (j > i) for j in range(n)]
+                    for i in range(n)]
+            lat = Lattice(rows)
+            bounds = [rng.randint(1000, 3000) for _ in range(n)]
+            assert join_size(bounds) > 1000
+            got = list(lattice_points_in_box(lat, bounds))
+            assert got == list(reference_lattice_points_in_box(lat, bounds)), (lat, bounds)
+            points += len(got)
+        assert points > 3000
 
     def test_budget_covers_the_larger_half(self):
         lat = chair_lattice(Chair((7,) * 4, (4,) * 4))
@@ -284,11 +304,30 @@ class TestBoxJoin:
         with pytest.raises(BudgetExceeded):
             next(box_join(lat.labeling(), [6] * 4, budget=13**2 - 1))
 
+    def test_budget_covers_the_walk(self, monkeypatch):
+        # a walk of 3,335 nodes against half tables of 10,001 entries
+        lat = Lattice([[3]])
+        monkeypatch.setenv("CHAIRCODES_BUDGET", "3334")
+        with pytest.raises(BudgetExceeded):
+            lattice_points_in_box(lat, [5000])
+        monkeypatch.setenv("CHAIRCODES_BUDGET", "3335")
+        assert len(list(lattice_points_in_box(lat, [5000]))) == 3333
+
     def test_bounds_must_match_dimension(self):
         lat = chair_lattice(Chair((3, 3, 3), (2, 2, 2)))
         for bounds in ([1, 1], [1, 1, 1, 1]):
             with pytest.raises(DimensionMismatch):
                 list(lattice_points_in_box(lat, bounds))
+
+    @pytest.mark.parametrize("rows, sides, notch, reason", [
+        ([[1999999]], (2000000,), (1,), None),
+        ([[2000, 0, 0], [0, 2000, 0], [0, 0, 2000]], (2000,) * 3, (1,) * 3, "volume mismatch"),
+        ([[1, 777], [0, 1999999]], (3, 2000000), (1, 1), "copies at 0 and witness overlap"),
+    ])
+    def test_sparse_lattice_in_large_box(self, rows, sides, notch, reason):
+        # half tables of 4-16 million entries; the walk visits at most 14 nodes
+        verdict = verify_tiling(Lattice(rows), Chair(sides, notch))
+        assert verdict.reason == (reason or "") and verdict.ok == (reason is None)
 
     def test_14d_chair_exceeds_budget(self):
         # halves of 13^7 cells; a walk would visit about 13^13 nodes

@@ -205,6 +205,17 @@ class TestVerifySplitting:
         with pytest.raises(BudgetExceeded):
             verify_splitting(c, wrong, budget=13**4)
 
+    def test_long_side_enumerates(self, monkeypatch):
+        # half tables of 1,999 values against 999 chair points: the chair is
+        # labelled point by point, inside a budget of 1,000
+        monkeypatch.setenv("CHAIRCODES_BUDGET", "1000")
+        c = Chair((1000,), (1,))
+        assert verify_splitting(c, SplittingSequence.cyclic(999, (2,))) == Verdict.passed(values=999)
+        verdict = verify_splitting(c, SplittingSequence.cyclic(999, (3,)))
+        assert verdict.witness == ((0,), (333,))
+        c = Chair((600, 2), (599, 1))
+        assert verify_splitting(c, SplittingSequence.cyclic(601, (1, 600))).ok
+
     def test_matches_enumeration_reference(self):
         # full Verdict equality, witness included, with the scan that labels
         # every chair point
