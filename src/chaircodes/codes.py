@@ -318,53 +318,76 @@ def _ordered_factorizations(s: int, n: int) -> Iterator[tuple[int, ...]]:
                 yield (d,) + rest
 
 
-def _hnf_candidates(n: int, s: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    # lower-triangular column bases as plain row tuples: diagonal product s,
-    # entries left of the diagonal reduced modulo it — each index-s sublattice
-    # appears once
-    for diag in _ordered_factorizations(s, n):
-        slots = [(i, j) for i in range(n) for j in range(i)]
-        h = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
-
-        def rec(k: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-            if k == len(slots):
-                yield tuple(map(tuple, h))
-                return
-            i, j = slots[k]
-            for val in range(diag[i]):
-                h[i][j] = val
-                yield from rec(k + 1)
-            h[i][j] = 0
-
-        yield from rec(0)
-
-
 def exhaustive_perfect_search(n: int, t: int, ell: int, budget: int | None = None) -> SearchVerdict:
     """Search every integer lattice of index = sphere size for perfect codes.
 
-    Candidates are enumerated through their Hermite normal forms (complete and
-    duplicate-free).  A candidate is a perfect code exactly when the sphere's
-    points reduce to distinct residues modulo its HNF: a repeated residue is a
+    Candidates are the lower-triangular Hermite normal forms h of index s =
+    sphere size (complete and duplicate-free): for each diagonal d with
+    product s, each entry h[i][k] below the diagonal ranges over 0..d_i - 1.
+    A candidate is a perfect code exactly when the sphere's points reduce to
+    distinct residues modulo h (exactmath.hnf_residue): a repeated residue is a
     nonzero sphere difference in the lattice, and distinct residues fill all
-    cosets of a lattice whose index is the sphere size.  Reduction stops at
-    the first repeated residue.  An empty result is a constructive
-    nonexistence proof at these parameters.
+    cosets of a lattice whose index is s.
+
+    The search backtracks over the columns of h, from column n-1 down to 0.
+    Once columns k..n-1 are fixed, the lattice vectors supported on
+    coordinates k..n-1 are exactly the span of that block, since h is
+    lower-triangular, and no choice for the columns left of k changes them.
+    So two sphere points p, q with p[:k] == q[:k] share a coset in every
+    completion exactly when p[k:] and q[k:] have the same residue modulo the
+    block.  That residue starts with p_k mod d_k, so only points agreeing in
+    p[:k] and in p_k mod d_k can collide.  A column choice that forces such a
+    collision drops its whole subtree; at k = 0 the test is the full residue
+    test, so a leaf that passes is a perfect code.  Each residue is built from
+    the one modulo columns k+1..n-1.
+
+    `examined` counts the candidates covered, tested at a leaf or dropped
+    with a subtree: always the full count of index-s sublattices.  An empty
+    result is a constructive nonexistence proof at these parameters.
     """
     s = sphere_size(n, t, ell)
-    check_budget(_index_sublattice_count(n, s), budget, "sublattice search")
-    sphere_pts = enumerate_sphere(ErrorSphere.uniform(n, t, ell), budget)
+    if n < 1:
+        raise BadParameters(f"need n >= 1, got {n}")
+    examined = _index_sublattice_count(n, s)
+    check_budget(examined, budget, "sublattice search")
+    pts = enumerate_sphere(ErrorSphere.uniform(n, t, ell), budget)
     found: list[IntMatrix] = []
-    examined = 0
-    for h in _hnf_candidates(n, s):
-        examined += 1
-        seen: set[tuple[int, ...]] = set()
-        for p in sphere_pts:
-            r = hnf_residue(h, p)
-            if r in seen:
-                break
-            seen.add(r)
-        else:
-            found.append(IntMatrix(h))
+    for diag in _ordered_factorizations(s, n):
+        h = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
+
+        def fill(k: int, state: list[tuple[tuple[int, ...], tuple[int, ...]]]) -> None:
+            # state pairs each sphere point p with its residue modulo columns
+            # k+1..n-1; a point with p_k < d_k keeps it whatever column k is
+            block = tuple(tuple(row[k + 1:]) for row in h[k + 1:])
+            fixed, moving = [], []
+            for p, r in state:
+                c, rk = divmod(p[k], diag[k])
+                if c:
+                    moving.append((p, rk, c, r))
+                else:
+                    fixed.append((p, (rk,) + r))
+            # fixed keys are distinct: with p_k < d_k, (p[:k], (p_k mod d_k,) + r)
+            # is the key (p[:k+1], r) that the parent found distinct
+            fixed_keys = {(p[:k], r) for p, r in fixed}
+            for tail in product(*(range(d) for d in diag[k + 1:])):
+                for i, x in enumerate(tail, k + 1):
+                    h[i][k] = x
+                keys = set(fixed_keys)
+                moved = []
+                for p, rk, c, r in moving:
+                    res = (rk,) + hnf_residue(block, [a - c * b for a, b in zip(r, tail)])
+                    key = (p[:k], res)
+                    if key in keys:
+                        break
+                    keys.add(key)
+                    moved.append((p, res))
+                else:
+                    if k:
+                        fill(k - 1, fixed + moved)
+                    else:
+                        found.append(IntMatrix(tuple(map(tuple, h))))
+
+        fill(n - 1, [(p, ()) for p in pts])
     found.sort(key=lambda m: m.entries)
     status = "Found" if found else "NoPerfectCode"
     return SearchVerdict(status, examined=examined, found=tuple(found))

@@ -16,9 +16,16 @@ import numpy as np
 
 from chaircodes.budget import check_budget
 from chaircodes.chair import Chair, as_exact, enumerate_points, shifted_copies_intersect, volume
-from chaircodes.codes import SearchVerdict, _hnf_candidates, sphere_size
+from chaircodes.codes import (
+    ErrorSphere,
+    SearchVerdict,
+    _index_sublattice_count,
+    _ordered_factorizations,
+    enumerate_sphere,
+    sphere_size,
+)
 from chaircodes.errors import BadModulus, BudgetExceeded, DimensionMismatch, NonIntegerLattice, NotDiscrete
-from chaircodes.exactmath import IntMatrix
+from chaircodes.exactmath import IntMatrix, hnf_residue
 from chaircodes.lattice import Lattice, SplittingSequence, Verdict
 from chaircodes.wom import Coloring
 
@@ -101,6 +108,52 @@ def all_valid_chairs(n: int, max_side: int):
         yield Chair(tuple(l for l, _ in combo), tuple(k for _, k in combo))
 
 
+def hnf_candidates(n: int, s: int):
+    # lower-triangular column bases as plain row tuples: diagonal product s,
+    # entries left of the diagonal reduced modulo it — each index-s sublattice
+    # appears once
+    for diag in _ordered_factorizations(s, n):
+        slots = [(i, j) for i in range(n) for j in range(i)]
+        h = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
+
+        def rec(k: int):
+            if k == len(slots):
+                yield tuple(map(tuple, h))
+                return
+            i, j = slots[k]
+            for val in range(diag[i]):
+                h[i][j] = val
+                yield from rec(k + 1)
+            h[i][j] = 0
+
+        yield from rec(0)
+
+
+def reference_hnf_search(n: int, t: int, ell: int, budget: int | None = None) -> SearchVerdict:
+    """Exhaustive perfect-code search by testing every HNF candidate in turn:
+    the sphere's points must reduce to distinct residues modulo it.  No
+    candidate is skipped, so this is the plain loop the library's pruned
+    column search must agree with."""
+    s = sphere_size(n, t, ell)
+    check_budget(_index_sublattice_count(n, s), budget, "sublattice search")
+    sphere_pts = enumerate_sphere(ErrorSphere.uniform(n, t, ell), budget)
+    found: list[IntMatrix] = []
+    examined = 0
+    for h in hnf_candidates(n, s):
+        examined += 1
+        seen: set[tuple[int, ...]] = set()
+        for p in sphere_pts:
+            r = hnf_residue(h, p)
+            if r in seen:
+                break
+            seen.add(r)
+        else:
+            found.append(IntMatrix(h))
+    found.sort(key=lambda m: m.entries)
+    status = "Found" if found else "NoPerfectCode"
+    return SearchVerdict(status, examined=examined, found=tuple(found))
+
+
 def reference_perfect_search(n: int, t: int, ell: int) -> SearchVerdict:
     """Exhaustive perfect-code search by lattice membership: a candidate of
     index |S| is perfect when no nonzero difference of two sphere points is a
@@ -111,7 +164,7 @@ def reference_perfect_search(n: int, t: int, ell: int) -> SearchVerdict:
     diffs = {tuple(a - b for a, b in zip(p, q)) for p in sphere for q in sphere} - {(0,) * n}
     found = []
     examined = 0
-    for h in _hnf_candidates(n, sphere_size(n, t, ell)):
+    for h in hnf_candidates(n, sphere_size(n, t, ell)):
         examined += 1
         lat = Lattice(tuple(zip(*h)))  # rows of the lattice = columns of h
         if all(any(lat.coset_label(d)) for d in diffs):

@@ -288,6 +288,11 @@ class TestSearch:
             assert error["type"] == "BadParameters"
             assert error["message"] == f"budget must be >= 1, got {value}"
 
+    def test_exhaustive_zero_dimensions_exits_2(self, capsys):
+        rc, out, err = run_cli(capsys, "search", "--n", "0", "--t", "0", "--ell", "1", "--mode", "exhaustive")
+        assert (rc, out) == (2, "")
+        assert json.loads(err)["error"]["type"] == "BadParameters"
+
     def test_divisibility_requires_matching_t(self, capsys):
         rc, _, err = run_cli(capsys, "search", "--n", "5", "--t", "2", "--ell", "1")
         assert rc == 2

@@ -19,7 +19,7 @@ from chaircodes.codes import (
 from chaircodes.errors import BadParameters, BudgetExceeded, NotPerfect
 from chaircodes.lattice import Lattice, lattice_points_in_box, verify_tiling
 
-from oracles import reference_perfect_search
+from oracles import reference_hnf_search, reference_perfect_search
 
 
 class TestSphereSize:
@@ -264,8 +264,36 @@ class TestExhaustiveSearch:
             assert not any(lat.member(d) for d in diffs)
 
     def test_budget(self):
-        with pytest.raises(BudgetExceeded):
-            exhaustive_perfect_search(4, 2, 1, budget=100)
+        # the budget covers every candidate, pruned or tested
+        for budget in (100, 1463):
+            with pytest.raises(BudgetExceeded):
+                exhaustive_perfect_search(4, 2, 1, budget=budget)
+        assert exhaustive_perfect_search(4, 2, 1, budget=1464).examined == 1464
+
+    def test_needs_a_dimension(self):
+        with pytest.raises(BadParameters):
+            exhaustive_perfect_search(0, 0, 1)
+
+    @pytest.mark.parametrize("params", [
+        (4, 2, 2), (4, 3, 1), (5, 1, 1), (4, 1, 2), (3, 2, 4),  # the benchmark's pins
+        (4, 2, 1), (3, 2, 1), (2, 1, 1), (2, 0, 5), (1, 1, 3), (3, 1, 3),
+        (2, 2, 3), (2, 2, 5),  # diagonal entries 1 < d_k <= ell: p_k mod d_k matters
+    ])
+    def test_matches_plain_hnf_loop(self, params):
+        # the column search prunes; the reference tests every candidate in turn
+        assert exhaustive_perfect_search(*params) == reference_hnf_search(*params)
+
+    def test_noncyclic_quotient_found(self):
+        # Z^4/L = Z_3 + Z_3 is not cyclic: its HNF diagonal has two entries above 1
+        verdict = exhaustive_perfect_search(4, 1, 2)
+        diagonals = {tuple(m.entries[i][i] for i in range(4)) for m in verdict.found}
+        assert (1, 1, 3, 3) in diagonals
+
+    def test_constructive_nonexistence_5_3_1(self):
+        # every index-26 sublattice of Z^5 is ruled out, as divisibility predicts
+        verdict = exhaustive_perfect_search(5, 3, 1)
+        assert (verdict.status, verdict.examined, verdict.found) == ("NoPerfectCode", 959171, ())
+        assert nonexistence_divisibility_check(5, 1).status == "NoPerfectCode"
 
     @pytest.mark.parametrize("params", [(2, 1, 1), (3, 2, 1), (4, 2, 1), (4, 1, 2), (5, 1, 1)])
     def test_matches_membership_reference(self, params):

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from chaircodes.chair import Chair, enumerate_points, volume
-from chaircodes.codes import _hnf_candidates
 from chaircodes.errors import (
     BadModulus,
     BudgetExceeded,
@@ -31,6 +30,7 @@ from oracles import (
     all_valid_chairs,
     brute_force_intersects,
     chair_point_set,
+    hnf_candidates,
     random_chair,
     random_rational_chair,
     random_unimodular,
@@ -504,7 +504,7 @@ class TestEqualVolumeSublattices:
         checked = rejected = 0
         for c in chairs:
             points = chair_point_set(c)
-            for h in _hnf_candidates(c.n, volume(c)):
+            for h in hnf_candidates(c.n, volume(c)):
                 lat = Lattice(tuple(zip(*h)))
                 verdict = verify_tiling(lat, c)
                 assert verdict.ok == torus_tiling_oracle(lat, c).ok
