@@ -17,22 +17,8 @@ from fractions import Fraction
 from . import codes, wom
 from .budget import resolve_budget
 from .chair import Chair, volume
-from .errors import (
-    BadModulus,
-    BadParameters,
-    BudgetExceeded,
-    ChairCodesError,
-    DimensionMismatch,
-    HypothesisViolated,
-    InvalidChair,
-    NonIntegerLattice,
-    NonSquare,
-    NotATiling,
-    NotDiscrete,
-    NotInvertible,
-    NotPerfect,
-    SingularMatrix,
-)
+from .errors import (BadParameters, BudgetExceeded, ChairCodesError, HypothesisViolated, NotATiling,
+                     NotDiscrete, NotPerfect)
 from .lattice import Lattice, SplittingSequence, chair_lattice, torus_tiling_oracle, verify_tiling
 from .splitting import general_chair_splitting, verify_splitting
 
@@ -42,18 +28,8 @@ EXIT_NOT_PERFECT = 3
 EXIT_BUDGET = 4
 EXIT_VERIFICATION = 5
 
-_INPUT_ERRORS = (
-    InvalidChair,
-    BadParameters,
-    DimensionMismatch,
-    NotDiscrete,
-    NotInvertible,
-    NonSquare,
-    SingularMatrix,
-    NonIntegerLattice,
-    BadModulus,
-    HypothesisViolated,
-)
+# every other error that main catches is bad input
+_EXITS = {BudgetExceeded: EXIT_BUDGET, NotPerfect: EXIT_NOT_PERFECT, NotATiling: EXIT_VERIFICATION}
 
 
 class _Timer:
@@ -97,15 +73,7 @@ def _print_report(report: dict, timer: _Timer) -> None:
 def _error_exit(exc: BaseException) -> int:
     payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
     print(json.dumps(payload, sort_keys=True), file=sys.stderr)
-    if isinstance(exc, BudgetExceeded):
-        return EXIT_BUDGET
-    if isinstance(exc, NotPerfect):
-        return EXIT_NOT_PERFECT
-    if isinstance(exc, NotATiling):
-        return EXIT_VERIFICATION
-    if isinstance(exc, _INPUT_ERRORS) or isinstance(exc, (ValueError, KeyError, OSError, json.JSONDecodeError)):
-        return EXIT_INPUT
-    raise exc
+    return next((code for cls, code in _EXITS.items() if isinstance(exc, cls)), EXIT_INPUT)
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
@@ -115,10 +83,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
     if args.method in ("auto", "splitting"):
         try:
             seq = general_chair_splitting(c)
-        except HypothesisViolated:
-            if args.method == "splitting":
-                raise
-        except NotDiscrete:
+        except (HypothesisViolated, NotDiscrete):
             if args.method == "splitting":
                 raise
     lat = chair_lattice(c)

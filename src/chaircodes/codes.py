@@ -18,7 +18,7 @@ from itertools import product
 from typing import Iterator, Sequence
 
 from .budget import check_budget
-from .chair import Chair
+from .chair import Chair, as_int
 from .errors import BadParameters, HypothesisViolated, NotPerfect
 from .exactmath import IntMatrix, hnf_residue
 from .lattice import Lattice, chair_lattice
@@ -43,24 +43,27 @@ class ErrorSphere:
     magnitudes: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        mags = tuple(int(x) for x in self.magnitudes)
-        if len(mags) != self.n:
-            raise BadParameters(f"{self.n} cells but {len(mags)} magnitudes")
-        if not 0 <= self.t <= self.n:
-            raise BadParameters(f"need 0 <= t <= n, got t={self.t}, n={self.n}")
+        n, t = as_int(self.n, "n"), as_int(self.t, "t")
+        mags = tuple(as_int(x, "a magnitude") for x in self.magnitudes)
+        if len(mags) != n:
+            raise BadParameters(f"{n} cells but {len(mags)} magnitudes")
+        if not 0 <= t <= n:
+            raise BadParameters(f"need 0 <= t <= n, got t={t}, n={n}")
         if any(m < 1 for m in mags):
             raise BadParameters("magnitudes must be >= 1")
-        if len(set(mags)) > 1 and self.t != self.n - 1:
+        if len(set(mags)) > 1 and t != n - 1:
             raise BadParameters("per-cell magnitudes are only supported for t = n-1")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "t", t)
         object.__setattr__(self, "magnitudes", mags)
 
     @classmethod
     def uniform(cls, n: int, t: int, ell: int) -> ErrorSphere:
-        return cls(n, t, (int(ell),) * n)
+        return cls(n, t, (ell,) * as_int(n, "n"))
 
     @classmethod
     def per_cell(cls, magnitudes: Sequence[int]) -> ErrorSphere:
-        mags = tuple(int(x) for x in magnitudes)
+        mags = tuple(magnitudes)
         return cls(len(mags), len(mags) - 1, mags)
 
     @property
@@ -99,7 +102,6 @@ def enumerate_sphere(s: ErrorSphere, budget: int | None = None) -> list[tuple[in
             point[i] = 0
 
     rec(0, 0)
-    out.sort()
     return out
 
 

@@ -97,6 +97,51 @@ def determinant(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def _sweep(a: list[list[int]], mirror: list[list[int]] | None, p: int, c: int) -> bool:
+    """The Euclid step of the Hermite form, the Smith form and the kernel:
+    subtract from each vector after a[p] the floor multiple of a[p] that
+    reduces its coordinate c modulo a[p][c], and the same multiple of
+    mirror[p] from its mirror.  True when coordinate c is then zero after p."""
+    piv = a[p]
+    d = piv[c]
+    done = True
+    for j in range(p + 1, len(a)):
+        vec = a[j]
+        q = vec[c] // d
+        if q:
+            a[j] = vec = [x - q * y for x, y in zip(vec, piv)]
+            if mirror is not None:
+                mirror[j] = [x - q * y for x, y in zip(mirror[j], mirror[p])]
+        if vec[c]:
+            done = False
+    return done
+
+
+def _echelon(a: list[list[int]], mirror: list[list[int]] | None, rows: int) -> int:
+    """Echelon form of the vectors a (each of length rows) by unimodular
+    operations mirrored on mirror; returns the rank r, after which a[r:] are
+    zero.  Row by row, the entry of least absolute value among the unused
+    vectors becomes the pivot, and _sweep repeats until the row is clear."""
+    rank = 0
+    for r in range(rows):
+        while True:
+            piv = None
+            for j in range(rank, len(a)):
+                x = a[j][r]
+                if x and (piv is None or abs(x) < best):
+                    piv, best = j, abs(x)
+            if piv is None:
+                break
+            if piv != rank:
+                a[rank], a[piv] = a[piv], a[rank]
+                if mirror is not None:
+                    mirror[rank], mirror[piv] = mirror[piv], mirror[rank]
+            if _sweep(a, mirror, rank, r):
+                rank += 1
+                break
+    return rank
+
+
 def hermite_normal_form(m: IntMatrix) -> IntMatrix:
     """Canonical basis of the lattice spanned by the columns of m.
 
@@ -109,31 +154,13 @@ def hermite_normal_form(m: IntMatrix) -> IntMatrix:
         raise NonSquare(f"hermite_normal_form needs a square matrix, got {m.rows}x{m.cols}")
     h = [list(col) for col in zip(*m.entries)]  # h[j] is column j
     n = m.rows
+    if _echelon(h, None, n) < n:
+        raise SingularMatrix("hermite_normal_form needs det != 0")
     for i in range(n):
-        while True:
-            piv = None
-            for j in range(i, n):
-                if h[j][i] != 0 and (piv is None or abs(h[j][i]) < abs(h[piv][i])):
-                    piv = j
-            if piv is None:  # columns i.. vanish on rows ..i: n-i vectors in n-i-1 dimensions
-                raise SingularMatrix("hermite_normal_form needs det != 0")
-            if piv != i:
-                h[i], h[piv] = h[piv], h[i]
-            if h[i][i] < 0:
-                h[i] = [-x for x in h[i]]
-            done = True
-            d = h[i][i]
-            col_i = h[i]
-            for j in range(i + 1, n):
-                q = h[j][i] // d
-                if q:
-                    h[j] = [x - q * y for x, y in zip(h[j], col_i)]
-                if h[j][i] != 0:
-                    done = False
-            if done:
-                break
-        d = h[i][i]
         col_i = h[i]
+        if col_i[i] < 0:
+            h[i] = col_i = [-x for x in col_i]
+        d = col_i[i]
         for j in range(i):
             q = h[j][i] // d
             if q:
@@ -169,23 +196,17 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     if m.rows != m.cols:
         raise NonSquare(f"smith_normal_form needs a square matrix, got {m.rows}x{m.cols}")
     n = m.rows
-    a = m.to_lists()
-    u = IntMatrix.identity(n).to_lists()
-    v = [list(col) for col in zip(*IntMatrix.identity(n).entries)]  # v[j] is column j
-
-    def col_op(j: int, k: int, q: int) -> None:
-        # column j -= q * column k, mirrored on v
-        for r in range(n):
-            a[r][j] -= q * a[r][k]
-        v[j] = [x - q * y for x, y in zip(v[j], v[k])]
-
+    a = list(m.entries)
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    v = [row[:] for row in u]  # v[j] is column j
     for k in range(n):
         while True:
             pi = pj = None
             best = None
             for i in range(k, n):
+                row = a[i]
                 for j in range(k, n):
-                    e = a[i][j]
+                    e = row[j]
                     if e != 0 and (best is None or abs(e) < best):
                         best = abs(e)
                         pi, pj = i, j
@@ -194,73 +215,32 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             if pi != k:
                 a[k], a[pi] = a[pi], a[k]
                 u[k], u[pi] = u[pi], u[k]
-            if pj != k:
-                for r in range(n):
-                    a[r][k], a[r][pj] = a[r][pj], a[r][k]
-                v[k], v[pj] = v[pj], v[k]
-            if a[k][k] < 0:
+            if a[k][pj] < 0:
                 a[k] = [-x for x in a[k]]
                 u[k] = [-x for x in u[k]]
-            d = a[k][k]
-            done = True
-            for i in range(k + 1, n):
-                q = a[i][k] // d
-                if q:
-                    a[i] = [x - q * y for x, y in zip(a[i], a[k])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[k])]
-                if a[i][k] != 0:
-                    done = False
-            for j in range(k + 1, n):
-                q = a[k][j] // d
-                if q:
-                    col_op(j, k, q)
-                if a[k][j] != 0:
-                    done = False
-            if not done:
+            # row operations commute with the column swap, so it waits for the transpose
+            rows_done = _sweep(a, u, k, pj)
+            at = list(zip(*a))
+            if pj != k:
+                at[k], at[pj] = at[pj], at[k]
+                v[k], v[pj] = v[pj], v[k]
+            cols_done = _sweep(at, v, k, k)
+            a = list(zip(*at))
+            if not (rows_done and cols_done):
                 continue
             # row k and column k are clear; enforce d | every remaining entry
-            offender = None
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    if a[i][j] % d != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            d = a[k][k]
+            offender = next((i for i in range(k + 1, n) if any(x % d for x in a[i][k + 1 :])), None)
             if offender is None:
                 break
             a[k] = [x + y for x, y in zip(a[k], a[offender])]
             u[k] = [x + y for x, y in zip(u[k], u[offender])]
-    return IntMatrix(tuple(map(tuple, u))), IntMatrix(tuple(map(tuple, a))), IntMatrix(tuple(zip(*v)))
+    return IntMatrix(tuple(u)), IntMatrix(tuple(a)), IntMatrix(tuple(zip(*v)))
 
 
 def integer_kernel(m: IntMatrix) -> IntMatrix:
     """Basis (as rows) of the right kernel {v : m @ v = 0} over the integers."""
-    k, ncols = m.rows, m.cols
-    a = [list(col) for col in zip(*m.entries)]  # column-major copy
-    v = [[int(i == j) for i in range(ncols)] for j in range(ncols)]  # v[j] is column j
-    rank = 0
-    for r in range(k):
-        while True:
-            piv = None
-            for j in range(rank, ncols):
-                if a[j][r] != 0 and (piv is None or abs(a[j][r]) < abs(a[piv][r])):
-                    piv = j
-            if piv is None:
-                break
-            if piv != rank:
-                a[rank], a[piv] = a[piv], a[rank]
-                v[rank], v[piv] = v[piv], v[rank]
-            d = a[rank][r]
-            done = True
-            for j in range(rank + 1, ncols):
-                q = a[j][r] // d
-                if q:
-                    a[j] = [x - q * y for x, y in zip(a[j], a[rank])]
-                    v[j] = [x - q * y for x, y in zip(v[j], v[rank])]
-                if a[j][r] != 0:
-                    done = False
-            if done:
-                rank += 1
-                break
-    return IntMatrix(tuple(tuple(v[j]) for j in range(rank, ncols)))
+    a = [list(col) for col in zip(*m.entries)]  # a[j] is column j
+    v = [[int(i == j) for i in range(m.cols)] for j in range(m.cols)]  # v[j] is column j
+    rank = _echelon(a, v, m.rows)
+    return IntMatrix(tuple(v[rank:]))

@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from . import exactmath
 from .budget import check_budget
-from .chair import Chair, Scalar, as_exact, enumerate_points, shifted_copies_intersect, volume
+from .chair import Chair, Scalar, as_exact, as_int, enumerate_points, shifted_copies_intersect, volume
 from .errors import (
     BadModulus,
     BadParameters,
@@ -85,13 +85,14 @@ class SplittingSequence:
     permutation: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        divisors = tuple(int(d) for d in self.divisors)
+        divisors = tuple(as_int(d, "a divisor") for d in self.divisors)
         for d in divisors:
             if d < 1:
                 raise BadParameters(f"modulus must be >= 1, got {d}")
         if len(self.residues) != len(divisors):
             raise BadParameters(f"{len(divisors)} group factors but {len(self.residues)} residue rows")
-        residues = tuple(tuple(int(b) % d for b in row) for row, d in zip(self.residues, divisors))
+        residues = tuple(tuple(as_int(b, "a residue") % d for b in row)
+                         for row, d in zip(self.residues, divisors))
         perm = tuple(self.permutation) or tuple(range(len(residues[0]) if residues else 0))
         if sorted(perm) != list(range(len(perm))):
             raise BadParameters("permutation must reorder 0..n-1")

@@ -24,7 +24,8 @@ from chaircodes.codes import (
     enumerate_sphere,
     sphere_size,
 )
-from chaircodes.errors import BadModulus, BudgetExceeded, DimensionMismatch, NonIntegerLattice, NotDiscrete
+from chaircodes.errors import (BadModulus, BudgetExceeded, DimensionMismatch, NonIntegerLattice, NonSquare, NotDiscrete,
+                               SingularMatrix)
 from chaircodes.exactmath import IntMatrix, hnf_residue
 from chaircodes.lattice import Lattice, SplittingSequence, Verdict
 from chaircodes.wom import Coloring
@@ -323,3 +324,159 @@ def reference_torus_tiling_oracle(lat: Lattice, c: Chair, m: int | None = None,
         kind = "doubly covered" if counts[bad[0]] > 1 else "uncovered"
         return Verdict.failed(f"torus cell {kind}", tuple(cell), copies=copies, cells=cells)
     return Verdict.passed(copies=copies, cells=cells)
+
+
+# Each normal form as its own smallest-pivot loop: the exact reference for
+# exactmath.  U, D, V and the kernel rows fix coset labels and code-file
+# contents, so the library must match these bit for bit, not just in lattice.
+
+
+def reference_hermite_normal_form(m: IntMatrix) -> IntMatrix:
+    """Canonical basis of the lattice spanned by the columns of m.
+
+    Convention: lower triangular, positive diagonal, and in each row the
+    entries left of the diagonal reduced into [0, diagonal).  Two matrices
+    whose columns span the same lattice yield the identical form, so the
+    result is invariant under right multiplication by unimodular matrices.
+    """
+    if m.rows != m.cols:
+        raise NonSquare(f"hermite_normal_form needs a square matrix, got {m.rows}x{m.cols}")
+    h = [list(col) for col in zip(*m.entries)]  # h[j] is column j
+    n = m.rows
+    for i in range(n):
+        while True:
+            piv = None
+            for j in range(i, n):
+                if h[j][i] != 0 and (piv is None or abs(h[j][i]) < abs(h[piv][i])):
+                    piv = j
+            if piv is None:  # columns i.. vanish on rows ..i: n-i vectors in n-i-1 dimensions
+                raise SingularMatrix("hermite_normal_form needs det != 0")
+            if piv != i:
+                h[i], h[piv] = h[piv], h[i]
+            if h[i][i] < 0:
+                h[i] = [-x for x in h[i]]
+            done = True
+            d = h[i][i]
+            col_i = h[i]
+            for j in range(i + 1, n):
+                q = h[j][i] // d
+                if q:
+                    h[j] = [x - q * y for x, y in zip(h[j], col_i)]
+                if h[j][i] != 0:
+                    done = False
+            if done:
+                break
+        d = h[i][i]
+        col_i = h[i]
+        for j in range(i):
+            q = h[j][i] // d
+            if q:
+                h[j] = [x - q * y for x, y in zip(h[j], col_i)]
+    return IntMatrix(tuple(zip(*h)))
+
+
+def reference_smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """Smith decomposition (U, D, V) with U @ m @ V == D.
+
+    D is diagonal with positive entries d_1 | d_2 | ... ; U and V are
+    unimodular.  Pivots are chosen by smallest nonzero absolute value to
+    bound intermediate growth; an all-zero remaining block proves m singular.
+    """
+    if m.rows != m.cols:
+        raise NonSquare(f"smith_normal_form needs a square matrix, got {m.rows}x{m.cols}")
+    n = m.rows
+    a = m.to_lists()
+    u = IntMatrix.identity(n).to_lists()
+    v = [list(col) for col in zip(*IntMatrix.identity(n).entries)]  # v[j] is column j
+
+    def col_op(j: int, k: int, q: int) -> None:
+        # column j -= q * column k, mirrored on v
+        for r in range(n):
+            a[r][j] -= q * a[r][k]
+        v[j] = [x - q * y for x, y in zip(v[j], v[k])]
+
+    for k in range(n):
+        while True:
+            pi = pj = None
+            best = None
+            for i in range(k, n):
+                for j in range(k, n):
+                    e = a[i][j]
+                    if e != 0 and (best is None or abs(e) < best):
+                        best = abs(e)
+                        pi, pj = i, j
+            if best is None:
+                raise SingularMatrix("smith_normal_form needs det != 0")
+            if pi != k:
+                a[k], a[pi] = a[pi], a[k]
+                u[k], u[pi] = u[pi], u[k]
+            if pj != k:
+                for r in range(n):
+                    a[r][k], a[r][pj] = a[r][pj], a[r][k]
+                v[k], v[pj] = v[pj], v[k]
+            if a[k][k] < 0:
+                a[k] = [-x for x in a[k]]
+                u[k] = [-x for x in u[k]]
+            d = a[k][k]
+            done = True
+            for i in range(k + 1, n):
+                q = a[i][k] // d
+                if q:
+                    a[i] = [x - q * y for x, y in zip(a[i], a[k])]
+                    u[i] = [x - q * y for x, y in zip(u[i], u[k])]
+                if a[i][k] != 0:
+                    done = False
+            for j in range(k + 1, n):
+                q = a[k][j] // d
+                if q:
+                    col_op(j, k, q)
+                if a[k][j] != 0:
+                    done = False
+            if not done:
+                continue
+            # row k and column k are clear; enforce d | every remaining entry
+            offender = None
+            for i in range(k + 1, n):
+                for j in range(k + 1, n):
+                    if a[i][j] % d != 0:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            a[k] = [x + y for x, y in zip(a[k], a[offender])]
+            u[k] = [x + y for x, y in zip(u[k], u[offender])]
+    return IntMatrix(tuple(map(tuple, u))), IntMatrix(tuple(map(tuple, a))), IntMatrix(tuple(zip(*v)))
+
+
+def reference_integer_kernel(m: IntMatrix) -> IntMatrix:
+    """Basis (as rows) of the right kernel {v : m @ v = 0} over the integers."""
+    k, ncols = m.rows, m.cols
+    a = [list(col) for col in zip(*m.entries)]  # column-major copy
+    v = [[int(i == j) for i in range(ncols)] for j in range(ncols)]  # v[j] is column j
+    rank = 0
+    for r in range(k):
+        while True:
+            piv = None
+            for j in range(rank, ncols):
+                if a[j][r] != 0 and (piv is None or abs(a[j][r]) < abs(a[piv][r])):
+                    piv = j
+            if piv is None:
+                break
+            if piv != rank:
+                a[rank], a[piv] = a[piv], a[rank]
+                v[rank], v[piv] = v[piv], v[rank]
+            d = a[rank][r]
+            done = True
+            for j in range(rank + 1, ncols):
+                q = a[j][r] // d
+                if q:
+                    a[j] = [x - q * y for x, y in zip(a[j], a[rank])]
+                    v[j] = [x - q * y for x, y in zip(v[j], v[rank])]
+                if a[j][r] != 0:
+                    done = False
+            if done:
+                rank += 1
+                break
+    return IntMatrix(tuple(tuple(v[j]) for j in range(rank, ncols)))

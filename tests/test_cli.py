@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import chaircodes
+from chaircodes import cli, errors
 from chaircodes.cli import main
 
 
@@ -357,6 +358,21 @@ def run_module(*argv):
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "chaircodes.cli", *argv],
                           capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+
+
+class TestExitCodes:
+    ERRORS = [c for c in vars(errors).values()
+              if isinstance(c, type) and issubclass(c, errors.ChairCodesError) and c is not errors.ChairCodesError]
+    NOT_INPUT = {errors.BudgetExceeded: 4, errors.NotPerfect: 3, errors.NotATiling: 5}
+
+    @pytest.mark.parametrize("cls", ERRORS, ids=lambda c: c.__name__)
+    def test_every_error_has_its_exit(self, capsys, cls):
+        exc = cls(1) if cls is errors.HypothesisViolated else cls("boom")
+        assert cli._error_exit(exc) == self.NOT_INPUT.get(cls, 2)
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == cls.__name__
+
+    def test_all_errors_listed(self):
+        assert len(self.ERRORS) == 13
 
 
 class TestSubprocessEntry:

@@ -40,7 +40,9 @@ class TestSphereSize:
             for ell in range(1, 4):
                 for t in range(n + 1):
                     s = ErrorSphere.uniform(n, t, ell)
-                    assert sphere_size(n, t, ell) == len(enumerate_sphere(s)) == s.size
+                    pts = enumerate_sphere(s)
+                    assert sphere_size(n, t, ell) == len(pts) == s.size
+                    assert pts == sorted(pts)  # the recursion emits lexicographic order
 
     def test_domain(self):
         with pytest.raises(BadParameters):
@@ -72,6 +74,16 @@ class TestEnumerateSphere:
         with pytest.raises(BudgetExceeded):
             enumerate_sphere(ErrorSphere.uniform(8, 8, 9), budget=100)
 
+    @pytest.mark.parametrize("args, field", [
+        ((3, 2, ("2", 2.5, 2)), "a magnitude"),
+        ((3, 2, (2, 2.5, 2)), "a magnitude"),
+        ((3.0, 2, (1, 1, 1)), "n"),
+        ((3, 1.9, (1, 1, 1)), "t"),
+    ])
+    def test_non_integers_rejected(self, args, field):
+        with pytest.raises(BadParameters, match=f"^{field} must be an integer"):
+            ErrorSphere(*args)
+
 
 class TestPerfectCode:
     def test_cube_code(self):
@@ -84,6 +96,11 @@ class TestPerfectCode:
         code = perfect_code(2, (2, 2))
         assert code.lattice.volume == 5
         assert code.sphere.as_chair() == Chair((3, 3), (2, 2))
+
+    def test_non_integer_magnitude_rejected(self):
+        # must be refused, not truncated into the (1, 1, 1) code
+        with pytest.raises(BadParameters, match="a magnitude"):
+            perfect_code(3, (1.9, 1, 1))
 
     def test_mixed_magnitudes(self):
         code = perfect_code(2, (1, 2))

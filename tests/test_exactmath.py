@@ -2,12 +2,22 @@ import math
 import random
 
 import pytest
+import sympy
+from sympy.matrices.normalforms import smith_normal_form as sympy_smith_normal_form
 
 from chaircodes import exactmath as xm
 from chaircodes.errors import NonSquare, NotInvertible, SingularMatrix
 from chaircodes.exactmath import IntMatrix
+from chaircodes.lattice import Lattice, chair_lattice
 
-from oracles import cofactor_determinant, random_unimodular
+from oracles import (
+    cofactor_determinant,
+    random_chair,
+    random_unimodular,
+    reference_hermite_normal_form,
+    reference_integer_kernel,
+    reference_smith_normal_form,
+)
 
 
 class TestModInverse:
@@ -191,3 +201,89 @@ class TestIntMatrix:
     def test_transpose_involution(self):
         m = IntMatrix(((1, 2, 3), (4, 5, 6)))
         assert m.transpose().transpose() == m
+
+
+def _square_inputs(count: int, seed: int) -> list[tuple[tuple[int, ...], ...]]:
+    """SINGULAR, then count seeded n x n matrices with n = 1..6: dense ones with
+    entries up to +-1000, some with a dependent row, and (perturbed) chair
+    generators."""
+    rng = random.Random(seed)
+    out = list(SINGULAR)
+    for _ in range(count):
+        n = rng.randint(1, 6)
+        if rng.random() < 0.7:
+            bound = rng.choice((1, 3, 9, 1000))
+            rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+            if n > 1 and rng.random() < 0.25:
+                i, j, k = (rng.randrange(n) for _ in range(3))
+                a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+                rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[k])]
+        else:
+            rows = [list(r) for r in chair_lattice(random_chair(rng, n, 9)).generator]
+            rows[rng.randrange(n)][rng.randrange(n)] += rng.choice((-1, 0, 1))
+        out.append(tuple(map(tuple, rows)))
+    return out
+
+
+def _kernel_inputs(count: int, seed: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Seeded [residues | diag(divisors)] matrices as splitting_to_lattice
+    stacks them: 1-3 factors, n <= 8, random residues or a lattice's labels."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(1, 8)
+        if rng.random() < 0.5:
+            divisors = [rng.randint(2, 60) for _ in range(rng.randint(1, 3))]
+            residues = [[rng.randrange(d) for _ in range(n)] for d in divisors]
+        else:
+            lat = chair_lattice(random_chair(rng, min(n, 5), 6))
+            scale = rng.choice((1, 2, 3))
+            s = Lattice([[scale * x for x in r] for r in lat.generator]).labeling()
+            divisors, residues = list(s.divisors[-3:]), [list(r) for r in s.residues[-3:]]
+            if not divisors:
+                continue
+        k = len(divisors)
+        out.append(tuple(tuple(row) + tuple(d if t == j else 0 for t in range(k))
+                         for j, (d, row) in enumerate(zip(divisors, residues))))
+    return out
+
+
+def _outcome(f, rows):
+    try:
+        return f(IntMatrix(rows))
+    except SingularMatrix as exc:
+        return "SingularMatrix", str(exc)
+
+
+class TestReferenceNormalForms:
+    """The shared sweep must reproduce the three independent loops exactly."""
+
+    def test_square_inputs_match(self):
+        inputs = _square_inputs(3000, 101)
+        singular = 0
+        for rows in inputs:
+            h = _outcome(xm.hermite_normal_form, rows)
+            assert h == _outcome(reference_hermite_normal_form, rows), rows
+            assert _outcome(xm.smith_normal_form, rows) == _outcome(reference_smith_normal_form, rows), rows
+            assert xm.integer_kernel(IntMatrix(rows)) == reference_integer_kernel(IntMatrix(rows)), rows
+            singular += isinstance(h, tuple)
+        assert 150 < singular < 1500
+
+    def test_kernel_inputs_match(self):
+        for rows in _kernel_inputs(600, 103):
+            kernel = xm.integer_kernel(IntMatrix(rows))
+            assert kernel == reference_integer_kernel(IntMatrix(rows)), rows
+            assert all(sum(a * b for a, b in zip(r, v)) == 0 for r in rows for v in kernel.entries)
+
+    def test_smith_diagonal_matches_sympy(self):
+        checked = 0
+        for rows in _square_inputs(3000, 101)[::10]:
+            if xm.determinant(IntMatrix(rows)) == 0:
+                continue
+            _, d, _ = xm.smith_normal_form(IntMatrix(rows))
+            expected = sympy_smith_normal_form(sympy.Matrix(rows), domain=sympy.ZZ)
+            assert [d.entries[i][i] for i in range(len(rows))] == [
+                abs(int(expected[i, i])) for i in range(len(rows))
+            ], rows
+            checked += 1
+        assert checked > 200

@@ -46,6 +46,16 @@ class TestSplittingSequence:
         with pytest.raises(BadParameters):
             SplittingSequence(*args)
 
+    @pytest.mark.parametrize("args, field", [
+        (((7.9,), ((1, 2, 4),)), "a divisor"),
+        (((7,), ((1, 2.6, 4),)), "a residue"),
+        (((7,), ((1, "2", 4),)), "a residue"),
+    ])
+    def test_non_integers_rejected(self, args, field):
+        # must be refused, not truncated: (7.9,), ((1, 2.6, 4),) is not Z_7 with beta = (1, 2, 4)
+        with pytest.raises(BadParameters, match=f"^{field} must be an integer"):
+            SplittingSequence(*args)
+
     def test_json_is_cyclic_only(self):
         s = SplittingSequence.cyclic(10, (4, 1), (1, 0))
         assert s.to_json_dict() == {"m": "10", "beta": ["4", "1"], "permutation": [1, 0]}
