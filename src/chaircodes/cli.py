@@ -16,9 +16,16 @@ from fractions import Fraction
 
 from . import codes, wom
 from .budget import resolve_budget
-from .chair import Chair, volume
-from .errors import (BadParameters, BudgetExceeded, ChairCodesError, HypothesisViolated, NotATiling,
-                     NotDiscrete, NotPerfect)
+from .chair import Chair, as_exact, volume
+from .errors import (
+    BadParameters,
+    BudgetExceeded,
+    ChairCodesError,
+    HypothesisViolated,
+    NotATiling,
+    NotDiscrete,
+    NotPerfect,
+)
 from .lattice import Lattice, SplittingSequence, chair_lattice, torus_tiling_oracle, verify_tiling
 from .splitting import general_chair_splitting, verify_splitting
 
@@ -45,11 +52,7 @@ def _parse_vector(text: str) -> tuple[Fraction | int, ...]:
         parts = [p.strip() for p in text.split(",") if p.strip() != ""]
         if not parts:
             raise ValueError("empty vector")
-        out = []
-        for p in parts:
-            f = Fraction(p)
-            out.append(int(f) if f.denominator == 1 else f)
-        return tuple(out)
+        return tuple(as_exact(p) for p in parts)
     except (ValueError, ZeroDivisionError) as exc:
         raise BadParameters(f"cannot parse vector {text!r}: {exc}") from None
 
@@ -73,7 +76,10 @@ def _print_report(report: dict, timer: _Timer) -> None:
 def _error_exit(exc: BaseException) -> int:
     payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
     print(json.dumps(payload, sort_keys=True), file=sys.stderr)
-    return next((code for cls, code in _EXITS.items() if isinstance(exc, cls)), EXIT_INPUT)
+    for cls, code in _EXITS.items():
+        if isinstance(exc, cls):
+            return code
+    return EXIT_INPUT
 
 
 def cmd_construct(args: argparse.Namespace) -> int:

@@ -97,15 +97,16 @@ def determinant(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _sweep(a: list[list[int]], mirror: list[list[int]] | None, p: int, c: int) -> bool:
+def _sweep(a: list[list[int]], mirror: list[list[int]] | None, p: int, c: int, targets: range) -> bool:
     """The Euclid step of the Hermite form, the Smith form and the kernel:
-    subtract from each vector after a[p] the floor multiple of a[p] that
-    reduces its coordinate c modulo a[p][c], and the same multiple of
-    mirror[p] from its mirror.  True when coordinate c is then zero after p."""
+    subtract from each vector a[j], j in targets, the floor multiple of a[p]
+    that reduces its coordinate c modulo a[p][c], and the same multiple of
+    mirror[p] from its mirror.  True when coordinate c is then zero on every
+    target."""
     piv = a[p]
     d = piv[c]
     done = True
-    for j in range(p + 1, len(a)):
+    for j in targets:
         vec = a[j]
         q = vec[c] // d
         if q:
@@ -136,7 +137,7 @@ def _echelon(a: list[list[int]], mirror: list[list[int]] | None, rows: int) -> i
                 a[rank], a[piv] = a[piv], a[rank]
                 if mirror is not None:
                     mirror[rank], mirror[piv] = mirror[piv], mirror[rank]
-            if _sweep(a, mirror, rank, r):
+            if _sweep(a, mirror, rank, r, range(rank + 1, len(a))):
                 rank += 1
                 break
     return rank
@@ -157,14 +158,9 @@ def hermite_normal_form(m: IntMatrix) -> IntMatrix:
     if _echelon(h, None, n) < n:
         raise SingularMatrix("hermite_normal_form needs det != 0")
     for i in range(n):
-        col_i = h[i]
-        if col_i[i] < 0:
-            h[i] = col_i = [-x for x in col_i]
-        d = col_i[i]
-        for j in range(i):
-            q = h[j][i] // d
-            if q:
-                h[j] = [x - q * y for x, y in zip(h[j], col_i)]
+        if h[i][i] < 0:
+            h[i] = [-x for x in h[i]]
+        _sweep(h, None, i, i, range(i))  # reduce row i left of the diagonal
     return IntMatrix(tuple(zip(*h)))
 
 
@@ -201,7 +197,6 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     v = [row[:] for row in u]  # v[j] is column j
     for k in range(n):
         while True:
-            pi = pj = None
             best = None
             for i in range(k, n):
                 row = a[i]
@@ -219,18 +214,22 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                 a[k] = [-x for x in a[k]]
                 u[k] = [-x for x in u[k]]
             # row operations commute with the column swap, so it waits for the transpose
-            rows_done = _sweep(a, u, k, pj)
+            rows_done = _sweep(a, u, k, pj, range(k + 1, n))
             at = list(zip(*a))
             if pj != k:
                 at[k], at[pj] = at[pj], at[k]
                 v[k], v[pj] = v[pj], v[k]
-            cols_done = _sweep(at, v, k, k)
+            cols_done = _sweep(at, v, k, k, range(k + 1, n))
             a = list(zip(*at))
             if not (rows_done and cols_done):
                 continue
             # row k and column k are clear; enforce d | every remaining entry
             d = a[k][k]
-            offender = next((i for i in range(k + 1, n) if any(x % d for x in a[i][k + 1 :])), None)
+            offender = None
+            for i in range(k + 1, n):
+                if any(x % d for x in a[i][k + 1 :]):
+                    offender = i
+                    break
             if offender is None:
                 break
             a[k] = [x + y for x, y in zip(a[k], a[offender])]

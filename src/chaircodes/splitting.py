@@ -32,10 +32,8 @@ def alpha_unit(n: int, ell: int) -> int:
 def uniform_chair_splitting(n: int, ell: int) -> SplittingSequence:
     """Splitting of Z_{l^n - (l-1)^n} by the chair with all sides l and all
     notch sides l-1: successive powers of the order-n unit."""
-    if n < 2 or ell < 2:
-        raise BadParameters(f"need n >= 2 and ell >= 2, got n={n}, ell={ell}")
+    a = alpha_unit(n, ell)  # checks n and ell
     m = ell**n - (ell - 1) ** n
-    a = alpha_unit(n, ell)
     beta = [1]
     for _ in range(n - 1):
         beta.append(beta[-1] * a % m)
@@ -62,10 +60,8 @@ def general_chair_splitting(c: Chair) -> SplittingSequence:
     if len(offenders) > 1:
         bad = offenders[1] + 1
         raise HypothesisViolated(bad, f"k_{bad} = {notch[offenders[1]]} shares a factor with {m}")
-    if offenders and offenders[0] != 0:
-        perm = (offenders[0],) + tuple(i for i in range(n) if i != offenders[0])
-    else:
-        perm = tuple(range(n))
+    first = offenders[0] if offenders else 0
+    perm = (first,) + tuple(i for i in range(n) if i != first)
     beta_internal = [1 % m]
     for j in range(n - 1):
         l_j = sides[perm[j]]

@@ -24,8 +24,15 @@ from chaircodes.codes import (
     enumerate_sphere,
     sphere_size,
 )
-from chaircodes.errors import (BadModulus, BudgetExceeded, DimensionMismatch, NonIntegerLattice, NonSquare, NotDiscrete,
-                               SingularMatrix)
+from chaircodes.errors import (
+    BadModulus,
+    BudgetExceeded,
+    DimensionMismatch,
+    NonIntegerLattice,
+    NonSquare,
+    NotDiscrete,
+    SingularMatrix,
+)
 from chaircodes.exactmath import IntMatrix, hnf_residue
 from chaircodes.lattice import Lattice, SplittingSequence, Verdict
 from chaircodes.wom import Coloring
