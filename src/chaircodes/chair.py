@@ -8,13 +8,12 @@ enumerated point by point.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .budget import check_budget
-from .errors import BadParameters, DimensionMismatch, InvalidChair, NotDiscrete
+from .errors import DimensionMismatch, InvalidChair, NotDiscrete
 
 Scalar = int | Fraction
 Point = tuple[Scalar, ...]
@@ -32,15 +31,6 @@ def as_exact(x: object) -> Scalar:
         f = Fraction(x)
         return int(f) if f.denominator == 1 else f
     raise ValueError(f"expected an exact integer or fraction, got {type(x).__name__}")
-
-
-def as_int(x: object, what: str) -> int:
-    """x through operator.index: a float, string or other non-integer raises
-    BadParameters naming what, rather than being truncated."""
-    try:
-        return operator.index(x)
-    except TypeError:
-        raise BadParameters(f"{what} must be an integer, got {x!r}") from None
 
 
 @dataclass(frozen=True)

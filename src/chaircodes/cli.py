@@ -15,7 +15,7 @@ import time
 from fractions import Fraction
 
 from . import codes, wom
-from .budget import resolve_budget
+from .budget import parse_int, resolve_budget
 from .chair import Chair, as_exact, volume
 from .errors import (
     BadParameters,
@@ -39,14 +39,6 @@ EXIT_VERIFICATION = 5
 _EXITS = {BudgetExceeded: EXIT_BUDGET, NotPerfect: EXIT_NOT_PERFECT, NotATiling: EXIT_VERIFICATION}
 
 
-class _Timer:
-    def __init__(self) -> None:
-        self.start = time.perf_counter()
-
-    def ms(self) -> str:
-        return str(int((time.perf_counter() - self.start) * 1000))
-
-
 def _parse_vector(text: str) -> tuple[Fraction | int, ...]:
     try:
         parts = [p.strip() for p in text.split(",") if p.strip() != ""]
@@ -58,18 +50,15 @@ def _parse_vector(text: str) -> tuple[Fraction | int, ...]:
 
 
 def _parse_int_vector(text: str) -> tuple[int, ...]:
-    vec = _parse_vector(text)
-    if any(not isinstance(x, int) for x in vec):
-        raise BadParameters(f"vector {text!r} must be all integers")
-    return vec  # type: ignore[return-value]
+    return tuple(parse_int(p.strip(), "a vector entry") for p in text.split(",") if p.strip())
 
 
 def _chair_from_args(args: argparse.Namespace) -> Chair:
     return Chair(_parse_vector(args.l), _parse_vector(args.k))
 
 
-def _print_report(report: dict, timer: _Timer) -> None:
-    report["timings_ms"] = {"total": timer.ms()}
+def _print_report(report: dict, start: float) -> None:
+    report["timings_ms"] = {"total": str(int((time.perf_counter() - start) * 1000))}
     print(json.dumps(report, sort_keys=True, indent=2))
 
 
@@ -83,7 +72,7 @@ def _error_exit(exc: BaseException) -> int:
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    timer = _Timer()
+    start = time.perf_counter()
     c = _chair_from_args(args)
     seq: SplittingSequence | None = None
     if args.method in ("auto", "splitting"):
@@ -126,12 +115,12 @@ def cmd_construct(args: argparse.Namespace) -> int:
         lines.append(f"tiling,{'ok' if verdict.ok else 'fail'}")
         print("\n".join(lines))
         return EXIT_OK
-    _print_report(report, timer)
+    _print_report(report, start)
     return EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    timer = _Timer()
+    start = time.perf_counter()
     c = _chair_from_args(args)
     verdicts: dict = {}
     if args.m is not None or args.beta is not None:
@@ -140,7 +129,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         beta = _parse_int_vector(args.beta)
         if len(beta) != c.n:
             raise BadParameters(f"--beta has {len(beta)} residues, chair is {c.n}-dimensional")
-        seq = SplittingSequence.cyclic(int(args.m), beta)
+        seq = SplittingSequence.cyclic(parse_int(args.m, "--m"), beta)
         verdicts["splitting"] = verify_splitting(c, seq)
         lat = None
     else:
@@ -158,12 +147,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "artifacts": {"generator": lat.to_json_dict()["generator"] if lat else None},
         "verdicts": {k: v.to_json_dict() for k, v in verdicts.items()},
     }
-    _print_report(report, timer)
+    _print_report(report, start)
     return EXIT_OK if all(v.ok for v in verdicts.values()) else EXIT_VERIFICATION
 
 
 def cmd_decode(args: argparse.Namespace) -> int:
-    timer = _Timer()
+    start = time.perf_counter()
     with open(args.code) as fh:
         code = codes.LatticeCode.from_json_dict(json.load(fh))
     received = _parse_int_vector(args.received)
@@ -179,37 +168,39 @@ def cmd_decode(args: argparse.Namespace) -> int:
         },
         "verdicts": {},
     }
-    _print_report(report, timer)
+    _print_report(report, start)
     return EXIT_OK
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    timer = _Timer()
+    start = time.perf_counter()
+    n, t, ell = parse_int(args.n, "--n"), parse_int(args.t, "--t"), parse_int(args.ell, "--ell")
     budget = resolve_budget(args.budget)
     if args.mode == "divisibility":
-        if args.t != args.n - 2:
-            raise BadParameters(f"divisibility test covers t = n-2 only; got t={args.t}, n={args.n}")
-        verdict = codes.nonexistence_divisibility_check(args.n, args.ell)
+        if t != n - 2:
+            raise BadParameters(f"divisibility test covers t = n-2 only; got t={t}, n={n}")
+        verdict = codes.nonexistence_divisibility_check(n, ell)
     else:
-        verdict = codes.exhaustive_perfect_search(args.n, args.t, args.ell, budget)
+        verdict = codes.exhaustive_perfect_search(n, t, ell, budget)
     report = {
         "command": "search",
-        "parameters": {"n": str(args.n), "t": str(args.t), "ell": str(args.ell),
+        "parameters": {"n": str(n), "t": str(t), "ell": str(ell),
                        "mode": args.mode, "budget": str(budget)},
         "artifacts": {},
         "verdicts": {"search": verdict.to_json_dict()},
     }
-    _print_report(report, timer)
+    _print_report(report, start)
     return EXIT_OK
 
 
 def cmd_wom(args: argparse.Namespace) -> int:
-    timer = _Timer()
-    if args.q < 1:
-        raise BadParameters(f"need q >= 1, got {args.q}")
+    start = time.perf_counter()
+    q = parse_int(args.q, "--q")
+    if q < 1:
+        raise BadParameters(f"need q >= 1, got {q}")
     c = _chair_from_args(args)
     lat = chair_lattice(c)
-    coloring = wom.build_coloring(lat, c, args.q)
+    coloring = wom.build_coloring(lat, c, q)
     out_path = args.output or ("coloring.csv" if args.out == "csv" else "coloring.bin")
     if args.out == "csv":
         with open(out_path, "w") as fh:
@@ -220,7 +211,7 @@ def cmd_wom(args: argparse.Namespace) -> int:
     report = {
         "command": "wom",
         "parameters": {"L": [str(x) for x in c.sides], "K": [str(x) for x in c.notch],
-                       "q": str(args.q), "out": args.out},
+                       "q": str(q), "out": args.out},
         "artifacts": {"colors": str(coloring.sigma), "cells": str(rows), "file": out_path},
         "verdicts": {},
     }
@@ -230,7 +221,7 @@ def cmd_wom(args: argparse.Namespace) -> int:
         report["verdicts"]["write_guarantee"] = verdict.to_json_dict()
         if not verdict.ok:
             rc = EXIT_VERIFICATION
-    _print_report(report, timer)
+    _print_report(report, start)
     return rc
 
 
@@ -265,17 +256,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("search", help="nonexistence tests for perfect codes")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
+    p.add_argument("--n", required=True)
+    p.add_argument("--t", required=True)
+    p.add_argument("--ell", required=True)
     p.add_argument("--mode", choices=["divisibility", "exhaustive"], default="divisibility")
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("wom", help="emit the write-once-memory coloring of a chair tiling")
     p.add_argument("--l", required=True)
     p.add_argument("--k", required=True)
-    p.add_argument("--q", type=int, required=True, help="levels per cell")
+    p.add_argument("--q", required=True, help="levels per cell")
     p.add_argument("--out", choices=["csv", "bin"], default="csv")
     p.add_argument("--output", help="output file (default coloring.csv / coloring.bin)")
     p.add_argument("--check", action="store_true", help="also verify the write guarantee")

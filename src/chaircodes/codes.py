@@ -12,13 +12,12 @@ exhaustive search over all sublattices of the right index.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Sequence
 
-from .budget import check_budget
-from .chair import Chair, as_int
+from .budget import as_int, check_budget, parse_int
+from .chair import Chair
 from .errors import BadParameters, HypothesisViolated, NotPerfect
 from .exactmath import IntMatrix, hnf_residue
 from .lattice import Lattice, chair_lattice
@@ -142,8 +141,8 @@ class LatticeCode:
         mags = data["magnitudes"]
         if not isinstance(mags, list):
             raise BadParameters(f"magnitudes must be a JSON list, got {mags!r}")
-        sphere = ErrorSphere(_json_int(data["n"], "n"), _json_int(data["t"], "t"),
-                             tuple(_json_int(m, "a magnitude") for m in mags))
+        sphere = ErrorSphere(parse_int(data["n"], "n"), parse_int(data["t"], "t"),
+                             tuple(parse_int(m, "a magnitude") for m in mags))
         lat = Lattice(data["generator"])
         perfect = data["perfect"]
         if not isinstance(perfect, bool):
@@ -152,8 +151,8 @@ class LatticeCode:
         if "table" in data:
             table = {}
             for key, err in data["table"].items():
-                label = tuple(int(r) for r in key.split(",")) if key else ()
-                table[label] = tuple(int(e) for e in err.split(","))
+                label = tuple(parse_int(r, "a syndrome") for r in key.split(",")) if key else ()
+                table[label] = tuple(parse_int(e, "an error") for e in err.split(","))
         if perfect:
             try:
                 expected = _syndrome_table(lat, sphere)
@@ -163,16 +162,6 @@ class LatticeCode:
                 raise BadParameters("code file is marked perfect, but its syndrome table "
                                     "is missing or wrong")
         return cls(lat, sphere, perfect, table)
-
-
-def _json_int(x: object, what: str) -> int:
-    """A JSON integer, or a decimal-integer string as the writer emits it;
-    floats, booleans and other strings are refused, never truncated."""
-    if isinstance(x, int) and not isinstance(x, bool):
-        return x
-    if isinstance(x, str) and re.fullmatch(r"-?[0-9]+", x):
-        return int(x)
-    raise BadParameters(f"{what} must be an integer, got {x!r}")
 
 
 def _syndrome_table(lat: Lattice, sphere: ErrorSphere) -> dict[tuple[int, ...], tuple[int, ...]]:
@@ -210,7 +199,7 @@ def decode(code: LatticeCode, received: Sequence[int]) -> tuple[tuple[int, ...],
     """Split a received word into (codeword, error) via its syndrome."""
     if not code.perfect or code.decode_table is None:
         raise NotPerfect("decode table is only defined for perfect codes")
-    received = tuple(int(x) for x in received)
+    received = [as_int(x, "a received cell") for x in received]
     error = code.decode_table[code.lattice.coset_label(received)]
     codeword = tuple(r - e for r, e in zip(received, error))
     return codeword, error

@@ -23,8 +23,8 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import exactmath
-from .budget import check_budget
-from .chair import Chair, Scalar, as_exact, as_int, enumerate_points, shifted_copies_intersect, volume
+from .budget import as_int, check_budget
+from .chair import Chair, Scalar, as_exact, enumerate_points, shifted_copies_intersect, volume
 from .errors import (
     BadModulus,
     BadParameters,
@@ -93,7 +93,8 @@ class SplittingSequence:
             raise BadParameters(f"{len(divisors)} group factors but {len(self.residues)} residue rows")
         residues = tuple(tuple(as_int(b, "a residue") % d for b in row)
                          for row, d in zip(self.residues, divisors))
-        perm = tuple(self.permutation) or tuple(range(len(residues[0]) if residues else 0))
+        default = range(len(residues[0]) if residues else 0)
+        perm = tuple(as_int(i, "a permutation entry") for i in self.permutation or default)
         if sorted(perm) != list(range(len(perm))):
             raise BadParameters("permutation must reorder 0..n-1")
         if any(len(row) != len(perm) for row in residues):
@@ -245,15 +246,14 @@ class Lattice:
 
     def member(self, p: Sequence[Scalar]) -> bool:
         """Whether p is an integer combination of the basis rows: s*p must be
-        an integer vector whose residue modulo the HNF of the integer model s*L
-        is zero, s being the scale."""
+        an integer vector in the kernel of the labelling of the integer model
+        s*L, s being the scale."""
         if len(p) != self.n:
             raise DimensionMismatch(f"point has {len(p)} coordinates, lattice is {self.n}-dimensional")
-        sp = [x * self.scale for x in p]
+        sp = [as_exact(x) * self.scale for x in p]
         if any(x.denominator != 1 for x in sp):
             return False
-        h = self.integer_model().canonical().entries
-        return not any(exactmath.hnf_residue(h, [int(x) for x in sp]))
+        return not any(self.integer_model().labeling().value([x.numerator for x in sp]))
 
     def wraps(self, q: int) -> bool:
         """Whether q*e_i is a lattice vector for every axis (q Z^n inside the
@@ -413,7 +413,7 @@ def lattice_points_in_box(lat: Lattice, max_abs: Sequence[int]) -> Iterator[tupl
     is lexicographic in the Hermite coefficients, which on a lower-triangular
     basis with positive diagonal order the points as x does.
     """
-    bounds = [int(b) for b in max_abs]
+    bounds = [as_int(b, "a box bound") for b in max_abs]
     if len(bounds) != lat.n:
         raise DimensionMismatch(f"{len(bounds)} bounds for {lat.n} coordinates")
     h = lat.canonical().entries
@@ -539,7 +539,7 @@ def torus_tiling_oracle(lat: Lattice, c: Chair, m: int | None = None, budget: in
     if not lat.is_integer:
         raise NonIntegerLattice("torus oracle needs an integer lattice")
     vol = int(lat.volume)
-    m = vol if m is None else int(m)
+    m = vol if m is None else as_int(m, "the torus modulus")
     if m < 1:
         raise BadModulus(f"torus modulus must be >= 1, got {m}")
     if not lat.wraps(m):

@@ -167,7 +167,7 @@ def reference_perfect_search(n: int, t: int, ell: int) -> SearchVerdict:
     index |S| is perfect when no nonzero difference of two sphere points is a
     lattice vector.  Builds a full Lattice per candidate and decides membership
     by its Smith-form coset label, never by the HNF residue that the library's
-    search and Lattice.member rely on."""
+    search relies on."""
     sphere = [e for e in product(range(ell + 1), repeat=n) if sum(1 for x in e if x) <= t]
     diffs = {tuple(a - b for a, b in zip(p, q)) for p in sphere for q in sphere} - {(0,) * n}
     found = []
@@ -179,6 +179,19 @@ def reference_perfect_search(n: int, t: int, ell: int) -> SearchVerdict:
             found.append(IntMatrix(h))
     found.sort(key=lambda m: m.entries)
     return SearchVerdict("Found" if found else "NoPerfectCode", examined=examined, found=tuple(found))
+
+
+def reference_member(lat: Lattice, p) -> bool:
+    """Lattice.member as it was before it read the labelling: s*p must be
+    an integer vector whose residue modulo the HNF of the integer model s*L
+    is zero, s being the scale."""
+    if len(p) != lat.n:
+        raise DimensionMismatch(f"point has {len(p)} coordinates, lattice is {lat.n}-dimensional")
+    sp = [x * lat.scale for x in p]
+    if any(x.denominator != 1 for x in sp):
+        return False
+    h = lat.integer_model().canonical().entries
+    return not any(hnf_residue(h, [int(x) for x in sp]))
 
 
 def reference_lattice_points_in_box(lat: Lattice, max_abs):

@@ -360,6 +360,19 @@ def run_module(*argv):
                           capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
 
 
+class TestReadmeExamples:
+    def test_usage_block_runs(self, capsys, monkeypatch, tmp_path):
+        # each chaircodes line of the README's usage block, in order: decode
+        # reads the code file that construct --code-out writes
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        usage = readme.read_text().split("## CLI", 1)[1].split("```")[1]
+        lines = [line.split("#")[0].split() for line in usage.splitlines() if line.startswith("chaircodes ")]
+        assert lines
+        monkeypatch.chdir(tmp_path)
+        for argv in lines:
+            assert run_cli(capsys, *argv[1:])[0] == 0, argv
+
+
 class TestExitCodes:
     ERRORS = [c for c in vars(errors).values()
               if isinstance(c, type) and issubclass(c, errors.ChairCodesError) and c is not errors.ChairCodesError]

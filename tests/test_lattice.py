@@ -35,6 +35,7 @@ from oracles import (
     random_rational_chair,
     random_unimodular,
     reference_lattice_points_in_box,
+    reference_member,
     reference_torus_tiling_oracle,
     reference_verify_packing,
 )
@@ -112,15 +113,31 @@ class TestMember:
         assert lat.member((Fraction(1, 2), Fraction(1, 2)))
         assert not lat.member((1, 0))
 
-    def test_member_iff_zero_label(self):
+    def test_member_matches_hnf_residue_reference(self):
+        # integer and rational lattices, probed at integer and rational
+        # points and at lattice points
         rng = random.Random(9)
-        for _ in range(30):
-            c = random_chair(rng, rng.randint(2, 4))
-            lat = chair_lattice(c)
+        hits = 0
+        for trial in range(120):
+            n = rng.randint(1, 4)
+            c = random_chair(rng, n) if trial % 2 else random_rational_chair(rng, n)
+            u = random_unimodular(n, rng).entries
+            rows = [[sum(u[i][k] * b[j] for k, b in enumerate(chair_lattice(c).generator)) for j in range(n)]
+                    for i in range(n)]
+            lat = Lattice(rows)
             for _ in range(20):
-                p = tuple(rng.randint(-6, 6) for _ in range(c.n))
-                label = lat.coset_label(p)
-                assert lat.member(p) == all(r == 0 for r in label)
+                p = [Fraction(rng.randint(-12, 12), rng.choice([1, 1, 2, 3])) for _ in range(n)]
+                if rng.random() < 0.3:
+                    coeffs = [rng.randint(-2, 2) for _ in range(n)]
+                    p = [sum(a * r[j] for a, r in zip(coeffs, rows)) for j in range(n)]
+                want = reference_member(lat, p)
+                hits += want
+                assert lat.member(p) == want, (rows, p)
+        assert hits > 200
+
+    def test_float_point_refused(self):
+        with pytest.raises(ValueError):
+            Lattice([[3, -2], [-2, 3]]).member((1.5, 0))
 
 
 class TestCosetLabel:
