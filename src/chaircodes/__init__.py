@@ -12,13 +12,12 @@ Modules:
 """
 
 from .chair import Chair
-from .codes import AlphabetCode, ErrorSphere, LatticeCode, SearchVerdict
+from .codes import ErrorSphere, LatticeCode, SearchVerdict
 from .exactmath import IntMatrix
 from .lattice import Lattice, SplittingSequence, Verdict, chair_lattice
 from .wom import Coloring
 
 __all__ = [
-    "AlphabetCode",
     "Chair",
     "Coloring",
     "ErrorSphere",

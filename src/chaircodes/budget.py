@@ -7,7 +7,8 @@ BadParameters instead of being truncated.
 
 Every potentially explosive enumeration (chair points, torus cells, grid
 states, sublattice searches) is capped.  The default cap is 10**6 and can be
-overridden with the CHAIRCODES_BUDGET environment variable or per call.
+overridden with the CHAIRCODES_BUDGET environment variable, or per call for
+the sublattice search and the sphere enumeration it runs.
 """
 
 from __future__ import annotations

@@ -77,10 +77,6 @@ class Chair:
     def to_json_dict(self) -> dict:
         return {"L": [str(x) for x in self.sides], "K": [str(x) for x in self.notch]}
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> Chair:
-        return cls(tuple(data["L"]), tuple(data["K"]))
-
 
 def volume(c: Chair) -> Scalar:
     """prod(l_i) - prod(k_i); for discrete chairs this counts the integer points."""
@@ -105,11 +101,11 @@ def contains(c: Chair, p: Sequence[Scalar]) -> bool:
     return any(x < l - k for x, l, k in zip(p, c.sides, c.notch))
 
 
-def enumerate_points(c: Chair, budget: int | None = None) -> list[tuple[int, ...]]:
+def enumerate_points(c: Chair) -> list[tuple[int, ...]]:
     """All integer points of a discrete chair in lexicographic order."""
     if not c.is_discrete:
         raise NotDiscrete("only discrete chairs can be enumerated")
-    check_budget(int(volume(c)), budget, "chair enumeration")
+    check_budget(int(volume(c)), None, "chair enumeration")
     sides = c.int_sides()
     notch = c.int_notch()
     n = c.n

@@ -85,8 +85,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
     verdict = verify_tiling(lat, c)
     report = {
         "command": "construct",
-        "parameters": {"L": [str(x) for x in c.sides], "K": [str(x) for x in c.notch],
-                       "method": args.method},
+        "parameters": {**c.to_json_dict(), "method": args.method},
         "artifacts": {
             "generator": lat.to_json_dict()["generator"],
             "volume": str(volume(c)),
@@ -143,7 +142,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             verdicts["torus"] = torus_tiling_oracle(lat, c)
     report = {
         "command": "verify",
-        "parameters": {"L": [str(x) for x in c.sides], "K": [str(x) for x in c.notch]},
+        "parameters": c.to_json_dict(),
         "artifacts": {"generator": lat.to_json_dict()["generator"] if lat else None},
         "verdicts": {k: v.to_json_dict() for k, v in verdicts.items()},
     }
@@ -210,8 +209,7 @@ def cmd_wom(args: argparse.Namespace) -> int:
             rows = wom.write_binary(coloring, fh)
     report = {
         "command": "wom",
-        "parameters": {"L": [str(x) for x in c.sides], "K": [str(x) for x in c.notch],
-                       "q": str(q), "out": args.out},
+        "parameters": {**c.to_json_dict(), "q": str(q), "out": args.out},
         "artifacts": {"colors": str(coloring.sigma), "cells": str(rows), "file": out_path},
         "verdicts": {},
     }

@@ -26,6 +26,7 @@ from .splitting import general_chair_splitting, splitting_to_lattice
 
 def sphere_size(n: int, t: int, ell: int) -> int:
     """Number of error vectors: sum over i <= t of C(n, i) * ell^i."""
+    n, t, ell = as_int(n, "n"), as_int(t, "t"), as_int(ell, "ell")
     if not 0 <= t <= n:
         raise BadParameters(f"need 0 <= t <= n, got t={t}, n={n}")
     if ell < 1:
@@ -108,20 +109,14 @@ def enumerate_sphere(s: ErrorSphere, budget: int | None = None) -> list[tuple[in
 class LatticeCode:
     """A lattice packing of the error sphere, with a syndrome table when perfect.
 
-    The lattice is the one canonical object; alphabets are views of it.  The
-    code is the extension of a linear code over Z_q exactly when the lattice
-    absorbs q along every axis (see wraps_alphabet).
+    The code is the extension of a linear code over Z_q exactly when the
+    lattice absorbs q along every axis (Lattice.wraps).
     """
 
     lattice: Lattice
     sphere: ErrorSphere
     perfect: bool
     decode_table: dict[tuple[int, ...], tuple[int, ...]] | None = None
-
-    def wraps_alphabet(self, q: int) -> bool:
-        """Whether q*e_i is a lattice vector for every axis, i.e. codeword
-        arithmetic may wrap modulo q."""
-        return self.lattice.wraps(q)
 
     def to_json_dict(self) -> dict:
         out = self.sphere.to_json_dict()
@@ -137,20 +132,24 @@ class LatticeCode:
     @classmethod
     def from_json_dict(cls, data: dict) -> LatticeCode:
         """Read a code file.  A code marked perfect must carry exactly the
-        syndrome table its lattice and sphere determine; BadParameters if not."""
+        syndrome table its lattice and sphere determine; BadParameters if not,
+        or if the file does not have the shape to_json_dict writes."""
+        lat = Lattice.from_json_dict(data)
         mags = data["magnitudes"]
         if not isinstance(mags, list):
             raise BadParameters(f"magnitudes must be a JSON list, got {mags!r}")
         sphere = ErrorSphere(parse_int(data["n"], "n"), parse_int(data["t"], "t"),
                              tuple(parse_int(m, "a magnitude") for m in mags))
-        lat = Lattice(data["generator"])
         perfect = data["perfect"]
         if not isinstance(perfect, bool):
             raise BadParameters(f"perfect must be a JSON boolean, got {perfect!r}")
         table = None
         if "table" in data:
+            entries = data["table"]
+            if not isinstance(entries, dict) or not all(isinstance(e, str) for e in entries.values()):
+                raise BadParameters("table must be a JSON object of comma-separated strings")
             table = {}
-            for key, err in data["table"].items():
+            for key, err in entries.items():
                 label = tuple(parse_int(r, "a syndrome") for r in key.split(",")) if key else ()
                 table[label] = tuple(parse_int(e, "an error") for e in err.split(","))
         if perfect:
@@ -206,36 +205,6 @@ def decode(code: LatticeCode, received: Sequence[int]) -> tuple[tuple[int, ...],
 
 
 @dataclass(frozen=True)
-class AlphabetCode:
-    """Finite-alphabet code: the lattice restricted to {0..sigma-1}^n."""
-
-    sigma: int
-    n: int
-    codewords: tuple[tuple[int, ...], ...]
-
-
-def extract_alphabet_code(code: LatticeCode, sigma: int, budget: int | None = None) -> AlphabetCode:
-    """All lattice points inside the sigma-ary cube, verified non-confusable:
-    no two codewords can reach the same word within the cube under sphere errors."""
-    if sigma < 1:
-        raise BadParameters(f"need sigma >= 1, got {sigma}")
-    n = code.sphere.n
-    check_budget(sigma**n, budget, "alphabet extraction")
-    words = [p for p in product(range(sigma), repeat=n) if code.lattice.member(p)]
-    reached: dict[tuple[int, ...], tuple[int, ...]] = {}
-    errors = enumerate_sphere(code.sphere, budget)
-    for w in words:
-        for err in errors:
-            y = tuple(a + b for a, b in zip(w, err))
-            if any(v >= sigma for v in y):
-                continue
-            if y in reached and reached[y] != w:
-                raise NotPerfect(f"codewords {reached[y]} and {w} are confusable at {y}")
-            reached[y] = w
-    return AlphabetCode(sigma, n, tuple(words))
-
-
-@dataclass(frozen=True)
 class SearchVerdict:
     """Result of a nonexistence test or an exhaustive perfect-code search."""
 
@@ -261,6 +230,7 @@ def nonexistence_divisibility_check(n: int, ell: int) -> SearchVerdict:
     candidate works the code cannot exist.  For ell >= 2 the short-vector
     argument rules the codes out even when some candidate divides.
     """
+    n, ell = as_int(n, "n"), as_int(ell, "ell")
     if n < 4:
         raise BadParameters(f"need n >= 4, got {n}")
     if ell < 1:
@@ -336,6 +306,7 @@ def exhaustive_perfect_search(n: int, t: int, ell: int, budget: int | None = Non
     with a subtree: always the full count of index-s sublattices.  An empty
     result is a constructive nonexistence proof at these parameters.
     """
+    n, t, ell = as_int(n, "n"), as_int(t, "t"), as_int(ell, "ell")
     s = sphere_size(n, t, ell)
     if n < 1:
         raise BadParameters(f"need n >= 1, got {n}")

@@ -216,12 +216,6 @@ class Lattice:
             self._snf = exactmath.smith_normal_form(self.generator_matrix())
         return self._snf
 
-    @property
-    def divisors(self) -> tuple[int, ...]:
-        """Elementary divisors of Z^n / lattice, trivial ones included."""
-        _, d, _ = self.smith()
-        return tuple(d.entries[i][i] for i in range(self.n))
-
     def labeling(self) -> SplittingSequence:
         """Z^n / lattice as labels of the unit vectors: with U A V = D the
         Smith form of the generator A, e_i maps to V[i][j] modulo each
@@ -283,7 +277,11 @@ class Lattice:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> Lattice:
-        return cls(data["generator"])
+        """Read {"generator": [[...], ...]}; BadParameters for another shape."""
+        rows = data["generator"] if isinstance(data, dict) else None
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise BadParameters("expected a JSON object whose generator is a list of rows")
+        return cls(rows)
 
 
 def chair_lattice(c: Chair) -> Lattice:
@@ -327,23 +325,21 @@ def _split(sizes: list[int]) -> tuple[int, int]:
     return min((max(math.prod(sizes[:a]), math.prod(sizes[a:])), a) for a in range(len(sizes) + 1))
 
 
-def box_join(
-    s: SplittingSequence, bounds: Sequence[int], budget: int | None = None
-) -> Iterator[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
+def box_join(s: SplittingSequence, bounds: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """The points x with |x_i| <= bounds[i] and value(x) = 0, met in the middle.
 
     The coordinates split into a prefix A and a suffix B whose half-boxes are
     as equal in size as the split allows.  Every x_A is tabled by its value
     and every x_B by its negated value, and x_A + x_B has value 0 exactly
-    when the two agree.  Yields each x_A that some x_B completes, with those
-    x_B; both come in lexicographic order.  The two tables are the memory,
-    and the larger is checked against the budget.
+    when the two agree.  Yields each such x_A + x_B, in lexicographic order.
+    The two tables are the memory, and the larger is checked against the
+    budget.
     """
     if len(bounds) != s.n:
         raise DimensionMismatch(f"{len(bounds)} bounds for {s.n} coordinates")
     ranges = [range(-b, b + 1) for b in bounds]
     half, a = _split([len(r) for r in ranges])
-    check_budget(half, budget, "lattice box join")
+    check_budget(half, None, "lattice box join")
     prefix, suffix = ranges[:a], ranges[a:]
     keys_a = _value_keys(s, prefix, 0, 1)
     keys_b = _value_keys(s, suffix, a, -1)
@@ -351,7 +347,9 @@ def box_join(
     for j in [j for j, k in enumerate(keys_b) if k in completions]:
         completions[keys_b[j]].append(_box_point(suffix, j))
     for i in [i for i, k in enumerate(keys_a) if k in completions]:
-        yield _box_point(prefix, i), completions[keys_a[i]]
+        xa = _box_point(prefix, i)
+        for xb in completions[keys_a[i]]:
+            yield xa + xb
 
 
 def _walk_size(h: Sequence[Sequence[int]], bounds: Sequence[int]) -> int:
@@ -421,8 +419,7 @@ def lattice_points_in_box(lat: Lattice, max_abs: Sequence[int]) -> Iterator[tupl
     if nodes < join_size(bounds):
         check_budget(nodes, None, "lattice box walk")
         return _walk(h, bounds)
-    groups = box_join(lat.labeling(), bounds)
-    return (xa + xb for xa, xbs in groups for xb in xbs)
+    return box_join(lat.labeling(), bounds)
 
 
 def verify_packing(lat: Lattice, c: Chair) -> Verdict:
@@ -473,13 +470,13 @@ class PaddedGrid:
     are, and there are none when some l_i > q.
     """
 
-    def __init__(self, c: Chair, q: int, wrap: bool, budget: int | None = None):
+    def __init__(self, c: Chair, q: int, wrap: bool):
         sides = c.int_sides()
         self.q = q
         self.pads = [l - 1 if wrap else 0 for l in sides]
         self.dims = [q + pad for pad in self.pads]
         self.strides = [math.prod(self.dims[i + 1:]) for i in range(c.n)]
-        self.offsets = [sum(map(operator.mul, e, self.strides)) for e in enumerate_points(c, budget)]
+        self.offsets = [sum(map(operator.mul, e, self.strides)) for e in enumerate_points(c)]
         bits = b"1"
         for d, l in zip(reversed(self.dims), reversed(sides)):
             bits = b"0" * (len(bits) * (l - 1)) + bits * (d - l + 1)
@@ -523,7 +520,7 @@ class PaddedGrid:
         return tuple(flat // s % d - pad for s, d, pad in zip(self.strides, self.dims, self.pads))
 
 
-def torus_tiling_oracle(lat: Lattice, c: Chair, m: int | None = None, budget: int | None = None) -> Verdict:
+def torus_tiling_oracle(lat: Lattice, c: Chair, m: int | None = None) -> Verdict:
     """Independent tiling check: place chair copies at every lattice point of
     the torus (Z/m)^n and count how often each cell is covered.
 
@@ -545,8 +542,8 @@ def torus_tiling_oracle(lat: Lattice, c: Chair, m: int | None = None, budget: in
     if not lat.wraps(m):
         raise BadModulus(f"{m}*e_i is not a lattice point for some axis i")
     cells = m**lat.n
-    check_budget(cells, budget, "torus grid")
-    grid = PaddedGrid(c, m, True, budget)
+    check_budget(cells, None, "torus grid")
+    grid = PaddedGrid(c, m, True)
     rows = lat.labeling().grid_rows([range(m)] * lat.n, lambda gs: bytes(map(operator.not_, map(any, gs))))
     (points,) = grid.masks(b"".join(rows), [1])
     bad, planes = grid.misses((points >> off for off in grid.offsets), 1)

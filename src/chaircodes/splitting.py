@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 
 from . import exactmath
+from .budget import as_int
 from .chair import Chair, enumerate_points, shifted_copies_intersect, volume
 from .errors import BadParameters, HypothesisViolated, NotDiscrete
 from .exactmath import IntMatrix, mod_inverse
@@ -23,6 +24,7 @@ from .lattice import Lattice, SplittingSequence, Verdict, box_join, join_size
 def alpha_unit(n: int, ell: int) -> int:
     """The unit l*(l-1)^-1 of Z_{l^n - (l-1)^n}; it has multiplicative order
     exactly n and its first n powers sum to zero."""
+    n, ell = as_int(n, "n"), as_int(ell, "ell")
     if n < 2 or ell < 2:
         raise BadParameters(f"need n >= 2 and ell >= 2, got n={n}, ell={ell}")
     m = ell**n - (ell - 1) ** n
@@ -74,7 +76,7 @@ def general_chair_splitting(c: Chair) -> SplittingSequence:
     return SplittingSequence.cyclic(m, beta, perm)
 
 
-def verify_splitting(c: Chair, s: SplittingSequence, budget: int | None = None) -> Verdict:
+def verify_splitting(c: Chair, s: SplittingSequence) -> Verdict:
     """Check that the chair points take pairwise distinct values under s.
 
     Two chair points p != q share a value exactly when x = p - q is a nonzero
@@ -94,12 +96,11 @@ def verify_splitting(c: Chair, s: SplittingSequence, budget: int | None = None) 
                               group_order=s.order, chair_volume=vol)
     bounds = [l - 1 for l in c.int_sides()]
     if join_size(bounds) < vol and not any(
-        shifted_copies_intersect(c, xa + xb)
-        for xa, xbs in box_join(s, bounds, budget) for xb in xbs if any(xa) or any(xb)
+        shifted_copies_intersect(c, x) for x in box_join(s, bounds) if any(x)
     ):
         return Verdict.passed(values=vol)
     seen: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for p in enumerate_points(c, budget):
+    for p in enumerate_points(c):
         val = s.value(p)
         if val in seen:
             return Verdict.failed("two chair points share a group value", (seen[val], p))
@@ -107,7 +108,7 @@ def verify_splitting(c: Chair, s: SplittingSequence, budget: int | None = None) 
     return Verdict.passed(values=vol)
 
 
-def splitting_to_lattice(s: SplittingSequence, n: int | None = None) -> Lattice:
+def splitting_to_lattice(s: SplittingSequence) -> Lattice:
     """Kernel lattice of the labelling: all integer vectors whose value is zero.
 
     The kernel basis is read off the integer kernel of the residue rows
@@ -116,17 +117,13 @@ def splitting_to_lattice(s: SplittingSequence, n: int | None = None) -> Lattice:
     labelling's image, which can be smaller than the group order when the
     residues do not generate the group.
     """
-    if n is None:
-        n = s.n
-    elif n != s.n:
-        raise BadParameters(f"sequence has {s.n} residues, asked for dimension {n}")
     factors = [(d, row) for d, row in zip(s.divisors, s.residues) if d != 1]
     k = len(factors)
     if k == 0:
-        return Lattice(IntMatrix.identity(n).entries)
+        return Lattice(IntMatrix.identity(s.n).entries)
     stacked = [row + tuple(d if t == j else 0 for t in range(k)) for j, (d, row) in enumerate(factors)]
     kernel = exactmath.integer_kernel(IntMatrix(tuple(stacked)))
-    return Lattice([row[:n] for row in kernel.entries])
+    return Lattice([row[:s.n] for row in kernel.entries])
 
 
 def lattice_to_splitting(lat: Lattice) -> SplittingSequence:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import chain, product, repeat
 from typing import IO, Iterator, Sequence
 
-from .budget import check_budget
+from .budget import as_int, check_budget
 from .chair import Chair, enumerate_points, volume
 from .errors import BadParameters, NotATiling
 from .lattice import Lattice, PaddedGrid, Verdict
@@ -39,7 +39,7 @@ class Coloring:
         return self.colors[idx]
 
 
-def build_coloring(lat: Lattice, c: Chair, q: int, budget: int | None = None) -> Coloring:
+def build_coloring(lat: Lattice, c: Chair, q: int) -> Coloring:
     """Color the q x ... x q grid by coset; colors are indexed by the
     lexicographic rank of each coset's chair-point representative, so state 0
     always gets color 0.
@@ -48,15 +48,16 @@ def build_coloring(lat: Lattice, c: Chair, q: int, budget: int | None = None) ->
     chair's volume and the chair's points have that many distinct labels, so
     every coset holds exactly one chair point.  Raises NotATiling otherwise.
     """
+    q = as_int(q, "q")
     if q < 1:
         raise BadParameters(f"need q >= 1, got {q}")
     vol = volume(c)
     if lat.volume != vol:
         raise NotATiling(f"lattice index {lat.volume} differs from chair volume {vol}")
-    index = {lat.coset_label(p): i for i, p in enumerate(enumerate_points(c, budget))}
+    index = {lat.coset_label(p): i for i, p in enumerate(enumerate_points(c))}
     if len(index) != vol:
         raise NotATiling(f"the chair's {vol} points fall in only {len(index)} cosets")
-    check_budget(q**c.n, budget, "coloring grid")
+    check_budget(q**c.n, None, "coloring grid")
     rows = lat.labeling().grid_rows([range(q)] * c.n, lambda gs: [index[g] for g in gs])
     return Coloring(q, c.n, len(index), tuple(chain.from_iterable(rows)), lat, c)
 

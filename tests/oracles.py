@@ -244,7 +244,7 @@ def reference_verify_splitting(c: Chair, s: SplittingSequence, budget: int | Non
         return Verdict.failed("group order does not match chair volume",
                               group_order=s.order, chair_volume=vol)
     seen: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for p in enumerate_points(c, budget):
+    for p in enumerate_points(c):
         val = s.value(p)
         if val in seen:
             return Verdict.failed("two chair points share a group value", (seen[val], p))
@@ -325,7 +325,7 @@ def reference_torus_tiling_oracle(lat: Lattice, c: Chair, m: int | None = None,
     ranges = [m // h[i][i] for i in range(n)]
     copies = math.prod(ranges)
     basis = np.array(h, dtype=np.int64)
-    chair_pts = np.array(enumerate_points(c, budget), dtype=np.int64) % m
+    chair_pts = np.array(enumerate_points(c), dtype=np.int64) % m
     strides = np.array([m ** (n - 1 - i) for i in range(n)], dtype=np.int64)
     rows = max(1, (1 << 22) // (8 * n * len(chair_pts)))
     counts = np.zeros(cells, dtype=np.int64)

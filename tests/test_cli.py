@@ -272,6 +272,15 @@ class TestSearch:
         assert rc == 4
         assert json.loads(err)["error"]["type"] == "BudgetExceeded"
 
+    def test_sphere_budget_exit_4(self, capsys, monkeypatch):
+        # one index-6 sublattice of Z fits a budget of 3; the sphere's 6 points do not
+        argv = ("search", "--n", "1", "--t", "1", "--ell", "5", "--mode", "exhaustive")
+        error = {"type": "BudgetExceeded", "message": "sphere enumeration needs 6 items, budget is 3"}
+        err = json.dumps({"error": error}, sort_keys=True) + "\n"
+        assert run_cli(capsys, *argv, "--budget", "3") == (4, "", err)
+        monkeypatch.setenv("CHAIRCODES_BUDGET", "3")
+        assert run_cli(capsys, *argv) == (4, "", err)
+
     def test_bad_budget_exits_2(self, capsys, monkeypatch):
         argv = ("search", "--n", "4", "--t", "2", "--ell", "1", "--mode", "exhaustive")
         for value in ("-5", "0", "1e6"):

@@ -5,19 +5,17 @@ import pytest
 
 from chaircodes.chair import Chair, enumerate_points
 from chaircodes.codes import (
-    AlphabetCode,
     ErrorSphere,
     LatticeCode,
     decode,
     enumerate_sphere,
     exhaustive_perfect_search,
-    extract_alphabet_code,
     nonexistence_divisibility_check,
     perfect_code,
     sphere_size,
 )
 from chaircodes.errors import BadParameters, BudgetExceeded, NotPerfect
-from chaircodes.lattice import Lattice, lattice_points_in_box, verify_tiling
+from chaircodes.lattice import Lattice, chair_lattice, lattice_points_in_box, verify_tiling
 
 from oracles import reference_hnf_search, reference_perfect_search
 
@@ -126,10 +124,15 @@ class TestPerfectCode:
             LatticeCode.from_json_dict(data)
 
     def test_wraps_alphabet(self):
+        # q Z^n lies in the lattice exactly when q is a multiple of the
+        # quotient's exponent, its largest elementary divisor
         code = perfect_code(3, (1, 1, 1))  # volume 7, cyclic quotient
-        assert code.wraps_alphabet(7)
-        assert code.wraps_alphabet(14)
-        assert not code.wraps_alphabet(4)
+        assert code.lattice.wraps(7)
+        assert code.lattice.wraps(14)
+        assert not code.lattice.wraps(4)
+        lat = chair_lattice(Chair((4, 4), (2, 2)))  # Z_2 + Z_6, volume 12
+        assert lat.labeling().divisors == (2, 6)
+        assert [q for q in range(1, 25) if lat.wraps(q)] == [6, 12, 18, 24]
 
 
 class TestDecode:
@@ -166,45 +169,6 @@ class TestDecode:
         code = LatticeCode(packing_only, ErrorSphere.uniform(2, 1, 2), perfect=False)
         with pytest.raises(NotPerfect):
             decode(code, (0, 0))
-
-
-class TestAlphabetExtraction:
-    def test_binary_cube(self):
-        code = perfect_code(3, (1, 1, 1))
-        # (1,1,1) dots to 7 = 0 mod 7, so it joins the origin in the cube
-        assert extract_alphabet_code(code, 2).codewords == ((0, 0, 0), (1, 1, 1))
-
-    def test_single_letter(self):
-        code = perfect_code(3, (1, 1, 1))
-        assert extract_alphabet_code(code, 1).codewords == ((0, 0, 0),)
-
-    def test_diagonal_code(self):
-        code = perfect_code(2, (2, 2))
-        ac = extract_alphabet_code(code, 5)
-        assert ac.codewords == ((0, 0), (1, 1), (2, 2), (3, 3), (4, 4))
-
-    def test_non_confusable_exhaustive(self):
-        for mags, sigma in [((1, 1, 1), 4), ((2, 2), 9), ((1, 2), 7)]:
-            code = perfect_code(len(mags), mags)
-            ac = extract_alphabet_code(code, sigma)
-            errors = enumerate_sphere(code.sphere)
-            reached = {}
-            for c in ac.codewords:
-                for e in errors:
-                    y = tuple(a + b for a, b in zip(c, e))
-                    if all(v < sigma for v in y):
-                        assert reached.setdefault(y, c) == c
-            assert sigma ** code.sphere.n <= 10**4
-
-    def test_budget(self):
-        code = perfect_code(3, (1, 1, 1))
-        with pytest.raises(BudgetExceeded):
-            extract_alphabet_code(code, 200, budget=10**4)
-
-    def test_confusable_codewords_rejected(self):
-        code = LatticeCode(Lattice([[1, 0], [0, 1]]), ErrorSphere.uniform(2, 1, 1), perfect=False)
-        with pytest.raises(NotPerfect, match=r"codewords \(0, 0\) and \(0, 1\) are confusable"):
-            extract_alphabet_code(code, 2)
 
 
 class TestNPlusMinus:
@@ -318,8 +282,3 @@ class TestExhaustiveSearch:
         # candidate tested against the sphere's difference set
         assert exhaustive_perfect_search(*params) == reference_perfect_search(*params)
 
-
-class TestAlphabetCodeType:
-    def test_frozen_tuple_of_codewords(self):
-        ac = AlphabetCode(2, 2, ((0, 0),))
-        assert ac.sigma == 2 and ac.codewords == ((0, 0),)

@@ -148,7 +148,7 @@ class TestCosetLabel:
     def test_diagonal_lattice(self):
         lat = Lattice([[2, 0], [0, 2]])
         assert lat.coset_label((1, 1)) == (1, 1)
-        assert lat.divisors == (2, 2)
+        assert lat.labeling().divisors == (2, 2)
 
     def test_lattice_point_maps_to_zero(self):
         lat = Lattice([[3, -2], [-2, 3]])
@@ -165,7 +165,7 @@ class TestCosetLabel:
         for _ in range(20):
             c = random_chair(rng, rng.randint(2, 4))
             lat = chair_lattice(c)
-            divs = [d for d in lat.divisors if d != 1]
+            divs = lat.labeling().divisors
             for _ in range(10):
                 p = tuple(rng.randint(-9, 9) for _ in range(c.n))
                 q = tuple(rng.randint(-9, 9) for _ in range(c.n))
@@ -289,7 +289,7 @@ class TestBoxJoin:
         factors = Counter()
         for kind, lat, bounds in _box_cases(rng, 2100):
             got = list(lattice_points_in_box(lat, bounds))
-            joined = [xa + xb for xa, xbs in box_join(lat.labeling(), bounds) for xb in xbs]
+            joined = list(box_join(lat.labeling(), bounds))
             assert got == joined == list(reference_lattice_points_in_box(lat, bounds)), (kind, lat, bounds)
             points[kind] += len(got)
             factors[len(lat.labeling().divisors)] += kind == "factors"
@@ -315,11 +315,12 @@ class TestBoxJoin:
             points += len(got)
         assert points > 3000
 
-    def test_budget_covers_the_larger_half(self):
+    def test_budget_covers_the_larger_half(self, monkeypatch):
         lat = chair_lattice(Chair((7,) * 4, (4,) * 4))
         assert list(lattice_points_in_box(lat, [6] * 4))  # halves of 13^2 cells
+        monkeypatch.setenv("CHAIRCODES_BUDGET", str(13**2 - 1))
         with pytest.raises(BudgetExceeded):
-            next(box_join(lat.labeling(), [6] * 4, budget=13**2 - 1))
+            next(box_join(lat.labeling(), [6] * 4))
 
     def test_budget_covers_the_walk(self, monkeypatch):
         # a walk of 3,335 nodes against half tables of 10,001 entries
@@ -439,10 +440,11 @@ class TestTorusOracle:
         with pytest.raises(BadModulus):
             torus_tiling_oracle(chair_lattice(c), c, 2)
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
         c = Chair((5, 5, 5), (4, 4, 4))
+        monkeypatch.setenv("CHAIRCODES_BUDGET", "100")
         with pytest.raises(BudgetExceeded):
-            torus_tiling_oracle(chair_lattice(c), c, budget=100)
+            torus_tiling_oracle(chair_lattice(c), c)
 
     def test_needs_discrete_chair(self):
         c = Chair((Fraction(5, 2), Fraction(3, 2)), (Fraction(3, 2), Fraction(1, 2)))
@@ -463,7 +465,7 @@ class TestTorusOracle:
             torus = torus_tiling_oracle(lat, c, m)
             assert tiling.ok == torus.ok
 
-    def test_matches_numpy_reference(self):
+    def test_matches_numpy_reference(self, monkeypatch):
         # full Verdict equality, witness and details included, and the same
         # errors, against the int64 cover count the bit-parallel pass replaced
         rng = random.Random(53)
@@ -480,7 +482,7 @@ class TestTorusOracle:
                     lat = Lattice(rows)
                 except SingularMatrix:
                     continue
-                exponent = lat.divisors[-1]
+                exponent = max(lat.labeling().divisors, default=1)
                 if rng.random() < 0.9:
                     m = exponent * rng.choice((1, 1, 2, 3))
                 else:
@@ -488,10 +490,14 @@ class TestTorusOracle:
                 if m**n <= (10**5 if n == 4 else 5000):
                     break
             budget = max(1, m**n - 1) if rng.random() < 0.05 else None
+            if budget is None:
+                monkeypatch.delenv("CHAIRCODES_BUDGET", raising=False)
+            else:
+                monkeypatch.setenv("CHAIRCODES_BUDGET", str(budget))
             got = []
             for oracle in (torus_tiling_oracle, reference_torus_tiling_oracle):
                 try:
-                    got.append(oracle(lat, c, m, budget))
+                    got.append(oracle(lat, c, m))
                 except (BadModulus, BudgetExceeded) as exc:
                     got.append(type(exc).__name__)
             assert got[0] == got[1], (rows, c.sides, c.notch, m, budget)

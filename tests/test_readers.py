@@ -1,7 +1,8 @@
 """One table for the integer readers: every site that reads an integer from a
 caller, a code file, argv or the environment refuses a bool, a float and
 non-decimal text with BadParameters (exit 2 through the CLI) instead of
-truncating it, and accepts well-formed integers."""
+truncating it, and accepts well-formed integers.  Code and generator files
+of the wrong shape exit 2 as well."""
 
 import json
 
@@ -11,9 +12,19 @@ import pytest
 from chaircodes.budget import resolve_budget
 from chaircodes.chair import Chair
 from chaircodes.cli import main
-from chaircodes.codes import ErrorSphere, LatticeCode, decode, perfect_code
+from chaircodes.codes import (
+    ErrorSphere,
+    LatticeCode,
+    decode,
+    exhaustive_perfect_search,
+    nonexistence_divisibility_check,
+    perfect_code,
+    sphere_size,
+)
 from chaircodes.errors import BadParameters
 from chaircodes.lattice import SplittingSequence, chair_lattice, lattice_points_in_box, torus_tiling_oracle
+from chaircodes.splitting import alpha_unit
+from chaircodes.wom import build_coloring
 
 CODE = perfect_code(3, (1, 1, 1))
 SQUARE = Chair((3, 3), (2, 2))  # volume 5, so m = 5 is a torus modulus
@@ -56,6 +67,17 @@ REFUSED = {
     "resolve_budget(True)": lambda: resolve_budget(True),
     "resolve_budget float": lambda: resolve_budget(12.0),
     "resolve_budget text": lambda: resolve_budget("1_0"),
+    # public entry points that computed with whatever number they were given
+    "sphere_size(3, 1, 1.5)": lambda: sphere_size(3, 1, 1.5),
+    "nonexistence_divisibility_check(4, True)": lambda: nonexistence_divisibility_check(4, True),
+    "build_coloring(lat, c, True)": lambda: build_coloring(SQUARE_LATTICE, SQUARE, True),
+    "search n float": lambda: exhaustive_perfect_search(2.0, 1, 1),
+    "search t float": lambda: exhaustive_perfect_search(2, 1.0, 1),
+    "search ell float": lambda: exhaustive_perfect_search(2, 1, 1.0),
+    "divisibility n float": lambda: nonexistence_divisibility_check(4.0, 1),
+    "divisibility ell float": lambda: nonexistence_divisibility_check(4, 1.0),
+    "alpha_unit n float": lambda: alpha_unit(3.0, 2),
+    "alpha_unit ell float": lambda: alpha_unit(3, 2.0),
     # code files: JSON numbers and decimal strings only
     "code file n bool": lambda: LatticeCode.from_json_dict(_code_file(n=True)),
     "code file n float": lambda: LatticeCode.from_json_dict(_code_file(n=3.0)),
@@ -125,6 +147,28 @@ def test_cli_env_budget_refused(capsys, monkeypatch):
     assert json.loads(captured.err)["error"]["message"] == "CHAIRCODES_BUDGET must be an integer, got '1_0'"
 
 
+DECODE_FILE = ["decode", "--code", "FILE", "--received", "1,0,0"]
+VERIFY_FILE = ["verify", "--l", "2,2", "--k", "1,1", "--generator", "FILE"]
+MALFORMED_FILES = {
+    "decode, table value 1": (DECODE_FILE, _table_entry("1,0,0", 1)),
+    "decode, generator 7": (DECODE_FILE, _code_file(generator=7)),
+    "decode, top-level list": (DECODE_FILE, [CODE.to_json_dict()]),
+    "verify, generator 7": (VERIFY_FILE, {"generator": 7}),
+    "verify, top-level list": (VERIFY_FILE, [1, 2]),
+    "verify, rows as text": (VERIFY_FILE, {"generator": ["21", "12"]}),
+}
+
+
+@pytest.mark.parametrize("argv, content", MALFORMED_FILES.values(), ids=MALFORMED_FILES.keys())
+def test_malformed_file_refused(capsys, tmp_path, argv, content):
+    path = tmp_path / "file.json"
+    path.write_text(json.dumps(content))
+    rc = main([str(path) if a == "FILE" else a for a in argv])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (2, "")
+    assert json.loads(captured.err)["error"]["type"] == "BadParameters"
+
+
 @pytest.mark.parametrize("integer", [int, np.int64], ids=["int", "numpy.int64"])
 def test_accepted(integer):
     word = tuple(map(integer, (1, 1, 0)))
@@ -135,6 +179,11 @@ def test_accepted(integer):
     assert list(lattice_points_in_box(SQUARE_LATTICE, [integer(2), integer(2)])) == [(k, k) for k in range(-2, 3)]
     assert torus_tiling_oracle(SQUARE_LATTICE, SQUARE, integer(5)).ok
     assert resolve_budget(integer(12)) == 12
+    assert sphere_size(integer(3), integer(1), integer(2)) == 7
+    assert nonexistence_divisibility_check(integer(4), integer(1)).status == "NoPerfectCode"
+    assert exhaustive_perfect_search(integer(2), integer(1), integer(1)).status == "Found"
+    assert alpha_unit(integer(3), integer(2)) == 2
+    assert build_coloring(SQUARE_LATTICE, SQUARE, integer(5)).q == 5
 
 
 def test_accepted_text(monkeypatch):

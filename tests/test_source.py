@@ -1,6 +1,7 @@
 """Rules the library's source must keep."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -55,3 +56,21 @@ def test_cli_import_leaves_numpy_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_traced_names_resolve():
+    # the benchmark's tracer wraps these names when it installs and fails on
+    # a missing one; a deleted or renamed library function shows up here
+    tree = ast.parse((SRC.parent.parent / "perfbench" / "tracer.py").read_text())
+    (traced,) = [ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "TRACED"]
+    missing = []
+    for mod_name, names in traced.items():
+        module = importlib.import_module(f"chaircodes.{mod_name}")
+        for qual in names:
+            owner_name, _, attr = qual.rpartition(".")
+            owner = getattr(module, owner_name, None) if owner_name else module
+            if owner is None or not callable(vars(owner).get(attr)):
+                missing.append(f"{mod_name}.{qual}")
+    assert sum(map(len, traced.values())) > 30
+    assert missing == []

@@ -203,17 +203,19 @@ class TestVerifySplitting:
             with pytest.raises(NotDiscrete):
                 verify_splitting(c, SplittingSequence.cyclic(m, (1, 1)))
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
         # a passing check tables half-boxes of 13^4 values; a failing one
         # enumerates all 5,699,265 chair points
         c = Chair((7,) * 8, (4,) * 8)
         s = general_chair_splitting(c)
-        assert verify_splitting(c, s, budget=13**4) == Verdict.passed(values=7**8 - 4**8)
-        with pytest.raises(BudgetExceeded):
-            verify_splitting(c, s, budget=13**4 - 1)
+        monkeypatch.setenv("CHAIRCODES_BUDGET", str(13**4))
+        assert verify_splitting(c, s) == Verdict.passed(values=7**8 - 4**8)
         wrong = SplittingSequence.cyclic(s.order, (1,) * 8)
         with pytest.raises(BudgetExceeded):
-            verify_splitting(c, wrong, budget=13**4)
+            verify_splitting(c, wrong)
+        monkeypatch.setenv("CHAIRCODES_BUDGET", str(13**4 - 1))
+        with pytest.raises(BudgetExceeded):
+            verify_splitting(c, s)
 
     def test_long_side_enumerates(self, monkeypatch):
         # half tables of 1,999 values against 999 chair points: the chair is
@@ -314,10 +316,6 @@ class TestSplittingToLattice:
                         unpermuted[r][perm[j]] = rows[r][j]
                 assert kernel == Lattice(unpermuted)
             assert verify_tiling(kernel, c).ok
-
-    def test_dimension_argument_checked(self):
-        with pytest.raises(BadParameters):
-            splitting_to_lattice(SplittingSequence.cyclic(3, (1, 2)), n=3)
 
 
 class TestLatticeToSplitting:
