@@ -140,6 +140,8 @@ class LatticeCode:
             raise BadParameters(f"magnitudes must be a JSON list, got {mags!r}")
         sphere = ErrorSphere(parse_int(data["n"], "n"), parse_int(data["t"], "t"),
                              tuple(parse_int(m, "a magnitude") for m in mags))
+        if lat.n != sphere.n:
+            raise BadParameters(f"generator is {lat.n}-dimensional, sphere has n = {sphere.n}")
         perfect = data["perfect"]
         if not isinstance(perfect, bool):
             raise BadParameters(f"perfect must be a JSON boolean, got {perfect!r}")

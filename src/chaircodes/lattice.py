@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import exactmath
@@ -499,9 +501,9 @@ class PaddedGrid:
             out |= mask >> off
         return out
 
-    def misses(self, masks: Iterable[int], target: int) -> tuple[int, list[int]]:
+    def misses(self, masks: Iterable[int], target: int) -> int:
         """Sum 0/1 masks in a bit-sliced counter, bit j of each cell's count in
-        planes[j]; return the anchors whose count is not target, and planes."""
+        planes[j]; return the anchors whose count is not target."""
         planes: list[int] = []
         for carry in masks:
             for j, plane in enumerate(planes):
@@ -512,7 +514,7 @@ class PaddedGrid:
         exact = self.anchors if target < 1 << len(planes) else 0
         for j, plane in enumerate(planes):
             exact &= plane if target >> j & 1 else ~plane
-        return self.anchors ^ exact, planes
+        return self.anchors ^ exact
 
     def cell(self, mask: int) -> tuple[int, ...]:
         """Grid coordinates of the first cell of a nonzero mask."""
@@ -525,9 +527,14 @@ def torus_tiling_oracle(lat: Lattice, c: Chair, m: int | None = None) -> Verdict
     the torus (Z/m)^n and count how often each cell is covered.
 
     Requires m*e_i to be a lattice member for all i (the default m = lattice
-    volume always qualifies); the cell count m^n is capped by the budget.  The
-    lattice cells (label 0), shifted by each chair point, are summed in a
-    PaddedGrid's bit-sliced counter.
+    volume always qualifies); the cell count m^n is capped by the budget.
+    Since mZ^n lies in the lattice, a cell y is covered once for each chair
+    point e with y - e in the lattice, so the count is constant on cosets and
+    is read off the Hermite residues of the chair points.  A coset's residue
+    r, 0 <= r_i < h_ii, is its lexicographically least cell with nonnegative
+    coordinates, and h_ii divides m, so r is also its first cell of [0,m)^n:
+    the first bad cell is the least residue hit twice or the first residue
+    hit by no chair point, whichever comes first.
     """
     if lat.n != c.n:
         raise DimensionMismatch(f"lattice is {lat.n}-dimensional, chair is {c.n}-dimensional")
@@ -543,12 +550,14 @@ def torus_tiling_oracle(lat: Lattice, c: Chair, m: int | None = None) -> Verdict
         raise BadModulus(f"{m}*e_i is not a lattice point for some axis i")
     cells = m**lat.n
     check_budget(cells, None, "torus grid")
-    grid = PaddedGrid(c, m, True)
-    rows = lat.labeling().grid_rows([range(m)] * lat.n, lambda gs: bytes(map(operator.not_, map(any, gs))))
-    (points,) = grid.masks(b"".join(rows), [1])
-    bad, planes = grid.misses((points >> off for off in grid.offsets), 1)
+    h = lat.canonical().entries
+    hits = Counter(exactmath.hnf_residue(h, e) for e in enumerate_points(c))
+    bad = [(r, "doubly covered") for r, k in hits.items() if k > 1]
+    for r in product(*(range(h[i][i]) for i in range(lat.n))):
+        if r not in hits:
+            bad.append((r, "uncovered"))
+            break
     if bad:
-        cell = grid.cell(bad)
-        kind = "doubly covered" if any(grid.cell(p & bad) == cell for p in planes if p & bad) else "uncovered"
+        cell, kind = min(bad)
         return Verdict.failed(f"torus cell {kind}", cell, copies=cells // vol, cells=cells)
     return Verdict.passed(copies=cells // vol, cells=cells)

@@ -34,7 +34,8 @@ def alpha_unit(n: int, ell: int) -> int:
 def uniform_chair_splitting(n: int, ell: int) -> SplittingSequence:
     """Splitting of Z_{l^n - (l-1)^n} by the chair with all sides l and all
     notch sides l-1: successive powers of the order-n unit."""
-    a = alpha_unit(n, ell)  # checks n and ell
+    n, ell = as_int(n, "n"), as_int(ell, "ell")
+    a = alpha_unit(n, ell)  # refuses n < 2 and ell < 2
     m = ell**n - (ell - 1) ** n
     beta = [1]
     for _ in range(n - 1):

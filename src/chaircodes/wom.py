@@ -84,7 +84,7 @@ def check_write_guarantee(col: Coloring, c: Chair) -> Verdict:
     groups = [[v for v in values if not 0 <= v < col.sigma]] + [[v] for v in values if 0 <= v < col.sigma]
     masks = _group_masks(col.colors, groups, grid)
     foreign = grid.anchors & grid.reach(next(masks))
-    bad, _ = grid.misses(map(grid.reach, masks), col.sigma)
+    bad = grid.misses(map(grid.reach, masks), col.sigma)
     if bad | foreign:
         return Verdict.failed("anchor misses a color", grid.cell(bad | foreign), mode=mode)
     return Verdict.passed(mode=mode, anchors=grid.anchors.bit_count())

@@ -4,6 +4,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from chaircodes.chair import Chair, enumerate_points, volume
 from chaircodes.errors import (
@@ -14,7 +16,7 @@ from chaircodes.errors import (
     NotDiscrete,
     SingularMatrix,
 )
-from chaircodes.exactmath import IntMatrix
+from chaircodes.exactmath import IntMatrix, determinant
 from chaircodes.lattice import (
     Lattice,
     box_join,
@@ -507,6 +509,57 @@ class TestTorusOracle:
         for kind in ("ok", "torus cell uncovered", "torus cell doubly covered", "m != volume"):
             assert outcomes[kind] >= 50, outcomes
         assert min(outcomes["BadModulus"], outcomes["BudgetExceeded"]) > 0, outcomes
+
+
+@st.composite
+def torus_cases(draw):
+    """(lattice, chair, m): a chair lattice, perhaps with one entry moved by
+    one; its own chair, another chair, or its own chair with one side
+    stretched past m; and m a multiple of the quotient's exponent (always a
+    torus modulus) or any integer up to twice the exponent."""
+    n = draw(st.integers(1, 4))
+    top = (9, 6, 3, 2)[n - 1]
+
+    def chair() -> tuple[tuple[int, ...], tuple[int, ...]]:
+        sides = draw(st.tuples(*[st.integers(2, top)] * n))
+        return sides, draw(st.tuples(*[st.integers(1, l - 1) for l in sides]))
+
+    sides, notch = chair()
+    rows = [[int(x) for x in row] for row in chair_lattice(Chair(sides, notch)).generator]
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    rows[i][j] += draw(st.sampled_from((0, 0, -1, 1)))
+    assume(determinant(IntMatrix(tuple(map(tuple, rows)))) != 0)
+    lat = Lattice(rows)
+    exponent = max(lat.labeling().divisors, default=1)
+    m = draw(st.one_of(st.integers(1, 3).map(lambda k: k * exponent), st.integers(0, 2 * exponent)))
+    assume(m**n <= 60_000)
+    kind = draw(st.sampled_from(("own", "other", "long side")))
+    if kind == "other":
+        sides, notch = chair()
+    elif kind == "long side":
+        sides = sides[:i] + (sides[i] + max(m, 1),) + sides[i + 1:]
+    return lat, Chair(sides, notch), m
+
+
+class TestTorusOracleProperty:
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(torus_cases())
+    # the first bad cell is an uncovered one before any doubly covered one,
+    # and the least doubly covered cell is not the first chair point's
+    @example((Lattice([[3, -1, 0], [0, 2, -2], [-2, 0, 3]]), Chair((2, 2, 4), (1, 1, 3)), 14))
+    @example((Lattice([[2, -2, 0, 0], [0, 3, -1, 0], [-2, 0, 2, -2], [-1, 0, 0, 3]]),
+              Chair((3, 2, 2, 2), (1, 1, 1, 1)), 10))
+    def test_matches_numpy_reference(self, case):
+        # full Verdict equality, witness and details included, or the same
+        # error; the cover count on the m^n grid is the reference
+        lat, c, m = case
+        got = []
+        for oracle in (torus_tiling_oracle, reference_torus_tiling_oracle):
+            try:
+                got.append(oracle(lat, c, m))
+            except BadModulus as exc:
+                got.append(str(exc))
+        assert got[0] == got[1]
 
 
 class TestExhaustiveSmallGrid:

@@ -23,7 +23,7 @@ from chaircodes.codes import (
 )
 from chaircodes.errors import BadParameters
 from chaircodes.lattice import SplittingSequence, chair_lattice, lattice_points_in_box, torus_tiling_oracle
-from chaircodes.splitting import alpha_unit
+from chaircodes.splitting import alpha_unit, uniform_chair_splitting
 from chaircodes.wom import build_coloring
 
 CODE = perfect_code(3, (1, 1, 1))
@@ -153,6 +153,8 @@ MALFORMED_FILES = {
     "decode, table value 1": (DECODE_FILE, _table_entry("1,0,0", 1)),
     "decode, generator 7": (DECODE_FILE, _code_file(generator=7)),
     "decode, top-level list": (DECODE_FILE, [CODE.to_json_dict()]),
+    "decode, not perfect, 2x2 generator":
+        (DECODE_FILE, _code_file(perfect=False, generator=[["2", "1"], ["1", "3"]])),
     "verify, generator 7": (VERIFY_FILE, {"generator": 7}),
     "verify, top-level list": (VERIFY_FILE, [1, 2]),
     "verify, rows as text": (VERIFY_FILE, {"generator": ["21", "12"]}),
@@ -183,6 +185,7 @@ def test_accepted(integer):
     assert nonexistence_divisibility_check(integer(4), integer(1)).status == "NoPerfectCode"
     assert exhaustive_perfect_search(integer(2), integer(1), integer(1)).status == "Found"
     assert alpha_unit(integer(3), integer(2)) == 2
+    assert uniform_chair_splitting(integer(30), integer(5)).divisors == (5**30 - 4**30,)
     assert build_coloring(SQUARE_LATTICE, SQUARE, integer(5)).q == 5
 
 
