@@ -6,20 +6,21 @@ code; when they cover Z^n exactly once the code is perfect and every syndrome
 (coset label) pins down a unique error.  The t = n-1 sphere is itself a
 chair, which is where the tiling constructions come in.  This module also
 carries the nonexistence machinery for t = n-2: the divisibility test and an
-exhaustive search over all sublattices of the right index.
+exhaustive search over all sublattices of the right index, run as a search
+for splittings of their quotient groups by the sphere.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import permutations
 from typing import Iterator, Sequence
 
 from .budget import as_int, check_budget, parse_int
 from .chair import Chair
 from .errors import BadParameters, HypothesisViolated, NotPerfect
-from .exactmath import IntMatrix, hnf_residue
+from .exactmath import IntMatrix, mod_inverse
 from .lattice import Lattice, chair_lattice
 from .splitting import general_chair_splitting, splitting_to_lattice
 
@@ -281,32 +282,200 @@ def _ordered_factorizations(s: int, n: int) -> Iterator[tuple[int, ...]]:
                 yield (d,) + rest
 
 
+class _Group:
+    """Z_d1 + ... + Z_dk with its elements numbered in mixed radix, the last
+    factor fastest, and subsets of it held as bitmasks over those numbers.
+
+    Adding an element x to a subset moves its bits factor by factor: inside
+    each block of d_c * stride_c numbers a bit rises by x_c * stride_c, and
+    the bits that pass the end of their block wrap round to its start.  _moves
+    lists those (low mask, rise, fall) steps per element for _shift; Z_s, a
+    single rotation, computes its step when needed and keeps no table.
+    """
+
+    def __init__(self, divs: Sequence[int]) -> None:
+        self.divs = tuple(divs)
+        self.order = s = math.prod(divs)
+        self._moves: list[tuple[tuple[int, int, int], ...]] | None = None
+        if len(divs) > 1:
+            strides = [math.prod(divs[c + 1:]) for c in range(len(divs))]
+            steps = []  # steps[c][g]: the step that adds g to digit c
+            for d, stride in zip(divs, strides):
+                block = d * stride
+                blocks = ((1 << s) - 1) // ((1 << block) - 1)  # bit 0 of every block
+                steps.append([(((1 << (block - g * stride)) - 1) * blocks, g * stride, block - g * stride)
+                              for g in range(d)])
+            self._moves = []
+            for x in range(s):
+                digits = [x // stride % d for d, stride in zip(divs, strides)]
+                self._moves.append(tuple(steps[c][g] for c, g in enumerate(digits) if g))
+
+    def kernel(self, beta: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+        """Hermite normal form (exactmath.hermite_normal_form's convention,
+        row-wise) of the lattice of integer vectors v with sum v_i beta_i = 0.
+
+        Let H_i be the subgroup spanned by beta_i..beta_{n-1}, H_n = 0.  The
+        kernel vectors that vanish left of i have i-th entries d_i Z, d_i the
+        order of beta_i modulo H_{i+1}: that is the diagonal.  Column i goes
+        on with the unique h_ji in [0, d_j) that keeps its partial sum
+        d_i beta_i + ... + h_ji beta_j in H_{j+1}.  In Z_s this is closed
+        form: H_i = g_i Z_s with g_i = gcd(s, beta_i, ..., beta_{n-1}), so
+        d_i = g_{i+1} / g_i and each h_ji is one modular solve.  Otherwise
+        the subgroups are bitmasks and the orders and entries are counted.
+        """
+        n = len(beta)
+        rows = [[0] * n for _ in range(n)]
+        if self._moves is None:
+            s = self.order
+            g = [s] * (n + 1)
+            for i in reversed(range(n)):
+                g[i] = math.gcd(beta[i], g[i + 1])
+            partial = [0] * n  # partial[i]: column i's sum so far
+            for j in range(n):
+                rows[j][j] = d = g[j + 1] // g[j]
+                partial[j] = d * beta[j]
+                if d > 1:
+                    inverse = mod_inverse(beta[j] // g[j], d)
+                    for i in range(j):
+                        rows[j][i] = x = -(partial[i] % s // g[j]) * inverse % d
+                        partial[i] += x * beta[j]
+            return tuple(map(tuple, rows))
+        moves = [self._moves[x] for x in beta]
+        span = [0] * n + [1]  # span[i]: H_i as a bitmask
+        for i in reversed(range(n)):
+            span[i] = coset = span[i + 1]
+            rows[i][i] = 1
+            while not (coset := _shift(coset, moves[i])) & 1:
+                span[i] |= coset
+                rows[i][i] += 1
+        for i in range(n):
+            total = 1  # column i's sum, as a one-bit mask
+            for _ in range(rows[i][i]):
+                total = _shift(total, moves[i])
+            for j in range(i + 1, n):
+                while not total & span[j + 1]:
+                    total = _shift(total, moves[j])
+                    rows[j][i] += 1
+        return tuple(map(tuple, rows))
+
+    def splittings(self, n: int, t: int, ell: int) -> Iterator[tuple[int, ...]]:
+        """Every strictly increasing beta in G^n, t >= 1, under which the
+        uniform sphere's points take distinct values, whose first entry g is
+        the least of its orbit and whose other entries' orbits go no lower."""
+        s, table = self.order, self._moves
+        least = _orbit_least(self.divs)
+        beta = [0] * n
+
+        def extend(j: int, options: Sequence[int], weights: list[int],
+                   used: int) -> Iterator[tuple[int, ...]]:
+            # weights[w]: the values of the sphere points supported on the
+            # first j coordinates with w nonzero entries; used: their union
+            top = min(j + 1, t)
+            for x in options:
+                move = table[x] if table else (((1 << (s - x)) - 1, x, s - x),)
+                placed = _place(weights, used, move, top, ell)
+                if placed is None:
+                    continue
+                beta[j] = x
+                if j + 1 == n:
+                    yield tuple(beta)
+                    continue
+                grown, seen = placed
+                # every entry after beta_0 = x has an orbit no lower than x's
+                pool = options if j else [y for y in range(1, s) if least[y] >= x]
+                # a value already taken can never be a later entry
+                later = [y for y in pool if y > x and not seen >> y & 1]
+                if len(later) >= n - 1 - j:
+                    yield from extend(j + 1, later, grown, seen)
+
+        yield from extend(0, [x for x in range(1, s) if least[x] == x], [1] + [0] * t, 1)
+
+
+def _orbit_least(divs: Sequence[int]) -> list[int]:
+    """For each element of Z_d1 + ... + Z_dk, numbered as in _Group, the least
+    number in its orbit under the automorphisms of the group; gcd(x, s) in
+    Z_s.  Two elements of a finite abelian p-group share an orbit exactly when
+    their Ulm sequences agree: the heights of x, p x, p^2 x, ... (Kaplansky,
+    Infinite Abelian Groups).  The automorphisms act on each p-part on its
+    own.  If digit c of x has valuation v_c in its p-part Z_{p^e_c} (e_c when
+    it is 0 there), p^j x has height min(v_c + j) over the c with
+    v_c + j < e_c, and -1 stands for the height of 0."""
+    s = math.prod(divs)
+    strides = [math.prod(divs[c + 1:]) for c in range(len(divs))]
+    primes = [p for p in range(2, s + 1) if s % p == 0 and all(p % q for q in range(2, p))]
+    exps = [[_valuation(d, p) for d in divs] for p in primes]
+    ulm: dict[tuple, tuple] = {}  # valuations of the digits -> Ulm sequences
+    first: dict[tuple, int] = {}  # Ulm sequences -> the first element with them
+    least = []
+    for x in range(s):
+        digits = [x // stride % d for d, stride in zip(divs, strides)]
+        vals = tuple(tuple(_valuation(a, p) if a % p**e else e for a, e in zip(digits, es))
+                     for p, es in zip(primes, exps))
+        if vals not in ulm:
+            ulm[vals] = tuple(tuple(min((v + j for v, e in zip(vs, es) if v + j < e), default=-1)
+                                    for j in range(max(es)))
+                              for vs, es in zip(vals, exps))
+        least.append(first.setdefault(ulm[vals], x))
+    return least
+
+
+def _valuation(a: int, p: int) -> int:
+    v = 0
+    while a % p == 0:
+        a //= p
+        v += 1
+    return v
+
+
+def _place(weights: list[int], used: int, move: tuple[tuple[int, int, int], ...],
+           top: int, ell: int) -> tuple[list[int], int] | None:
+    """weights and used after one more coordinate, of value x given by its
+    move: weight w gains weights[w - 1] + a*x for a = 1..ell, w <= top.  None
+    as soon as two sphere points take one value."""
+    grown = list(weights)
+    for w in range(top, 0, -1):
+        values = weights[w - 1]
+        for _ in range(ell):
+            values = _shift(values, move)
+            if values & used:
+                return None
+            used |= values
+            grown[w] |= values
+    return grown, used
+
+
+def _shift(mask: int, moves: tuple[tuple[int, int, int], ...]) -> int:
+    """The subset mask plus one group element, given by its _Group._moves."""
+    for low, rise, fall in moves:
+        kept = mask & low
+        mask = (kept << rise) | ((mask ^ kept) >> fall)
+    return mask
+
+
 def exhaustive_perfect_search(n: int, t: int, ell: int, budget: int | None = None) -> SearchVerdict:
     """Search every integer lattice of index = sphere size for perfect codes.
 
-    Candidates are the lower-triangular Hermite normal forms h of index s =
-    sphere size (complete and duplicate-free): for each diagonal d with
-    product s, each entry h[i][k] below the diagonal ranges over 0..d_i - 1.
-    A candidate is a perfect code exactly when the sphere's points reduce to
-    distinct residues modulo h (exactmath.hnf_residue): a repeated residue is a
-    nonzero sphere difference in the lattice, and distinct residues fill all
-    cosets of a lattice whose index is s.
+    A lattice L of index s = sphere size is a perfect code exactly when the
+    sphere splits G = Z^n / L: under the labelling beta_i = e_i + L its points
+    take s distinct values, so all of G.  Conversely a labelling beta of some
+    group G of order s that splits the sphere has a kernel of index s.  So the
+    search runs over the abelian groups G of order s with at most n
+    invariant factors, backtracks over beta in G^n one entry at a time, and
+    drops a branch once two partial sphere sums collide.
 
-    The search backtracks over the columns of h, from column n-1 down to 0.
-    Once columns k..n-1 are fixed, the lattice vectors supported on
-    coordinates k..n-1 are exactly the span of that block, since h is
-    lower-triangular, and no choice for the columns left of k changes them.
-    So two sphere points p, q with p[:k] == q[:k] share a coset in every
-    completion exactly when p[k:] and q[k:] have the same residue modulo the
-    block.  That residue starts with p_k mod d_k, so only points agreeing in
-    p[:k] and in p_k mod d_k can collide.  A column choice that forces such a
-    collision drops its whole subtree; at k = 0 the test is the full residue
-    test, so a leaf that passes is a perfect code.  Each residue is built from
-    the one modulo columns k+1..n-1.
+    Two symmetries cut it down.  The sphere is invariant under permuting the
+    coordinates, and its unit vectors need distinct values, so beta is taken
+    strictly increasing.  An automorphism a of G leaves the kernel alone;
+    taking a to map the entry whose orbit has the least element g to g makes
+    g the smallest entry, the least of its orbit, and no other entry's orbit
+    goes below it.  In Z_s the automorphisms multiply by units, and g is a
+    divisor of s.  Each surviving beta gives its kernel's Hermite form
+    (_Group.kernel); one beta per kernel is kept and expanded over the n!
+    orders of its entries.
 
-    `examined` counts the candidates covered, tested at a leaf or dropped
-    with a subtree: always the full count of index-s sublattices.  An empty
-    result is a constructive nonexistence proof at these parameters.
+    `examined` counts the lattices covered, every index-s sublattice, as the
+    candidates of a search over Hermite normal forms would; an empty result is
+    a constructive nonexistence proof at these parameters.
     """
     n, t, ell = as_int(n, "n"), as_int(t, "t"), as_int(ell, "ell")
     s = sphere_size(n, t, ell)
@@ -314,44 +483,21 @@ def exhaustive_perfect_search(n: int, t: int, ell: int, budget: int | None = Non
         raise BadParameters(f"need n >= 1, got {n}")
     examined = _index_sublattice_count(n, s)
     check_budget(examined, budget, "sublattice search")
-    pts = enumerate_sphere(ErrorSphere.uniform(n, t, ell), budget)
-    found: list[IntMatrix] = []
+    check_budget(s, budget, "sphere enumeration")
+    if t == 0:  # s = 1: the sphere {0} tiles Z^n, the only index-1 lattice
+        return SearchVerdict("Found", examined=examined, found=(IntMatrix.identity(n),))
+    found: set[tuple[tuple[int, ...], ...]] = set()
+    # each abelian group of order s with at most n invariant factors d_i | d_i+1,
+    # padded on the left with 1s: one ordered factorization each
     for diag in _ordered_factorizations(s, n):
-        h = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
-
-        def fill(k: int, state: list[tuple[tuple[int, ...], tuple[int, ...]]]) -> None:
-            # state pairs each sphere point p with its residue modulo columns
-            # k+1..n-1; a point with p_k < d_k keeps it whatever column k is
-            block = tuple(tuple(row[k + 1:]) for row in h[k + 1:])
-            fixed, moving = [], []
-            for p, r in state:
-                c, rk = divmod(p[k], diag[k])
-                if c:
-                    moving.append((p, rk, c, r))
-                else:
-                    fixed.append((p, (rk,) + r))
-            # fixed keys are distinct: with p_k < d_k, (p[:k], (p_k mod d_k,) + r)
-            # is the key (p[:k+1], r) that the parent found distinct
-            fixed_keys = {(p[:k], r) for p, r in fixed}
-            for tail in product(*(range(d) for d in diag[k + 1:])):
-                for i, x in enumerate(tail, k + 1):
-                    h[i][k] = x
-                keys = set(fixed_keys)
-                moved = []
-                for p, rk, c, r in moving:
-                    res = (rk,) + hnf_residue(block, [a - c * b for a, b in zip(r, tail)])
-                    key = (p[:k], res)
-                    if key in keys:
-                        break
-                    keys.add(key)
-                    moved.append((p, res))
-                else:
-                    if k:
-                        fill(k - 1, fixed + moved)
-                    else:
-                        found.append(IntMatrix(tuple(map(tuple, h))))
-
-        fill(n - 1, [(p, ()) for p in pts])
-    found.sort(key=lambda m: m.entries)
+        if any(b % a for a, b in zip(diag, diag[1:])):
+            continue
+        group = _Group([d for d in diag if d > 1])
+        kept = {group.kernel(beta): beta for beta in group.splittings(n, t, ell)}
+        for h, beta in kept.items():
+            # found is closed under permuting coordinates, so a kernel already
+            # in it brings all n! of its reorderings along
+            if h not in found:
+                found.update(group.kernel(order) for order in permutations(beta))
     status = "Found" if found else "NoPerfectCode"
-    return SearchVerdict(status, examined=examined, found=tuple(found))
+    return SearchVerdict(status, examined=examined, found=tuple(map(IntMatrix, sorted(found))))

@@ -14,7 +14,7 @@ from itertools import product
 
 import numpy as np
 
-from chaircodes.budget import check_budget
+from chaircodes.budget import as_int, check_budget
 from chaircodes.chair import Chair, as_exact, enumerate_points, shifted_copies_intersect, volume
 from chaircodes.codes import (
     ErrorSphere,
@@ -26,6 +26,7 @@ from chaircodes.codes import (
 )
 from chaircodes.errors import (
     BadModulus,
+    BadParameters,
     BudgetExceeded,
     DimensionMismatch,
     NonIntegerLattice,
@@ -160,6 +161,107 @@ def reference_hnf_search(n: int, t: int, ell: int, budget: int | None = None) ->
     found.sort(key=lambda m: m.entries)
     status = "Found" if found else "NoPerfectCode"
     return SearchVerdict(status, examined=examined, found=tuple(found))
+
+
+def reference_column_search(n: int, t: int, ell: int, budget: int | None = None) -> SearchVerdict:
+    """The library's perfect-code search before it became a splitting search:
+    search every integer lattice of index = sphere size for perfect codes.
+
+    Candidates are the lower-triangular Hermite normal forms h of index s =
+    sphere size (complete and duplicate-free): for each diagonal d with
+    product s, each entry h[i][k] below the diagonal ranges over 0..d_i - 1.
+    A candidate is a perfect code exactly when the sphere's points reduce to
+    distinct residues modulo h (exactmath.hnf_residue): a repeated residue is a
+    nonzero sphere difference in the lattice, and distinct residues fill all
+    cosets of a lattice whose index is s.
+
+    The search backtracks over the columns of h, from column n-1 down to 0.
+    Once columns k..n-1 are fixed, the lattice vectors supported on
+    coordinates k..n-1 are exactly the span of that block, since h is
+    lower-triangular, and no choice for the columns left of k changes them.
+    So two sphere points p, q with p[:k] == q[:k] share a coset in every
+    completion exactly when p[k:] and q[k:] have the same residue modulo the
+    block.  That residue starts with p_k mod d_k, so only points agreeing in
+    p[:k] and in p_k mod d_k can collide.  A column choice that forces such a
+    collision drops its whole subtree; at k = 0 the test is the full residue
+    test, so a leaf that passes is a perfect code.  Each residue is built from
+    the one modulo columns k+1..n-1.
+
+    `examined` counts the candidates covered, tested at a leaf or dropped
+    with a subtree: always the full count of index-s sublattices.  An empty
+    result is a constructive nonexistence proof at these parameters.
+    """
+    n, t, ell = as_int(n, "n"), as_int(t, "t"), as_int(ell, "ell")
+    s = sphere_size(n, t, ell)
+    if n < 1:
+        raise BadParameters(f"need n >= 1, got {n}")
+    examined = _index_sublattice_count(n, s)
+    check_budget(examined, budget, "sublattice search")
+    pts = enumerate_sphere(ErrorSphere.uniform(n, t, ell), budget)
+    found: list[IntMatrix] = []
+    for diag in _ordered_factorizations(s, n):
+        h = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
+
+        def fill(k: int, state: list[tuple[tuple[int, ...], tuple[int, ...]]]) -> None:
+            # state pairs each sphere point p with its residue modulo columns
+            # k+1..n-1; a point with p_k < d_k keeps it whatever column k is
+            block = tuple(tuple(row[k + 1:]) for row in h[k + 1:])
+            fixed, moving = [], []
+            for p, r in state:
+                c, rk = divmod(p[k], diag[k])
+                if c:
+                    moving.append((p, rk, c, r))
+                else:
+                    fixed.append((p, (rk,) + r))
+            # fixed keys are distinct: with p_k < d_k, (p[:k], (p_k mod d_k,) + r)
+            # is the key (p[:k+1], r) that the parent found distinct
+            fixed_keys = {(p[:k], r) for p, r in fixed}
+            for tail in product(*(range(d) for d in diag[k + 1:])):
+                for i, x in enumerate(tail, k + 1):
+                    h[i][k] = x
+                keys = set(fixed_keys)
+                moved = []
+                for p, rk, c, r in moving:
+                    res = (rk,) + hnf_residue(block, [a - c * b for a, b in zip(r, tail)])
+                    key = (p[:k], res)
+                    if key in keys:
+                        break
+                    keys.add(key)
+                    moved.append((p, res))
+                else:
+                    if k:
+                        fill(k - 1, fixed + moved)
+                    else:
+                        found.append(IntMatrix(tuple(map(tuple, h))))
+
+        fill(n - 1, [(p, ()) for p in pts])
+    found.sort(key=lambda m: m.entries)
+    status = "Found" if found else "NoPerfectCode"
+    return SearchVerdict(status, examined=examined, found=tuple(found))
+
+
+def reference_orbit_least(divs: tuple[int, ...]) -> list[int]:
+    """For each element of Z_d1 + ... + Z_dk, numbered in mixed radix with the
+    last factor fastest, the least number in its automorphism orbit.  Every
+    homomorphism is tried (images of the generators e_c with d_c * image = 0)
+    and the bijective ones are applied."""
+    s = math.prod(divs)
+    elems = list(product(*(range(d) for d in divs)))  # elems[x] is element number x
+
+    def number(comps) -> int:
+        x = 0
+        for a, d in zip(comps, divs):
+            x = x * d + a % d
+        return x
+
+    orders_ok = [[y for y in elems if all(d * a % m == 0 for a, m in zip(y, divs))] for d in divs]
+    least = list(range(s))
+    for images in product(*orders_ok):
+        mapped = [number([sum(x[c] * images[c][i] for c in range(len(divs))) for i in range(len(divs))])
+                  for x in elems]
+        if len(set(mapped)) == s:
+            least = [min(a, b) for a, b in zip(least, mapped)]
+    return least
 
 
 def reference_perfect_search(n: int, t: int, ell: int) -> SearchVerdict:

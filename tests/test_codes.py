@@ -1,12 +1,17 @@
+import math
 import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chaircodes.chair import Chair, enumerate_points
 from chaircodes.codes import (
     ErrorSphere,
     LatticeCode,
+    _Group,
+    _orbit_least,
     decode,
     enumerate_sphere,
     exhaustive_perfect_search,
@@ -15,9 +20,15 @@ from chaircodes.codes import (
     sphere_size,
 )
 from chaircodes.errors import BadParameters, BudgetExceeded, NotPerfect
-from chaircodes.lattice import Lattice, chair_lattice, lattice_points_in_box, verify_tiling
+from chaircodes.lattice import Lattice, SplittingSequence, chair_lattice, lattice_points_in_box, verify_tiling
+from chaircodes.splitting import splitting_to_lattice
 
-from oracles import reference_hnf_search, reference_perfect_search
+from oracles import (
+    reference_column_search,
+    reference_hnf_search,
+    reference_orbit_least,
+    reference_perfect_search,
+)
 
 
 class TestSphereSize:
@@ -261,8 +272,19 @@ class TestExhaustiveSearch:
         (2, 2, 3), (2, 2, 5),  # diagonal entries 1 < d_k <= ell: p_k mod d_k matters
     ])
     def test_matches_plain_hnf_loop(self, params):
-        # the column search prunes; the reference tests every candidate in turn
+        # the splitting search runs over labellings; the reference tests every
+        # HNF candidate in turn.  Equal verdicts: status, examined, and the
+        # found bases in the same order
         assert exhaustive_perfect_search(*params) == reference_hnf_search(*params)
+
+    @pytest.mark.parametrize("params", [
+        (5, 3, 1), (5, 2, 1), (5, 2, 2), (4, 2, 3),  # none or a few found
+        (4, 4, 1), (3, 3, 2), (3, 3, 1), (2, 2, 5),  # full boxes: many found, many non-cyclic groups
+    ])
+    def test_matches_column_search(self, params):
+        # the column search this replaced, on sets the plain loop takes too long for
+        verdict = exhaustive_perfect_search(*params, budget=10**8)
+        assert verdict == reference_column_search(*params, budget=10**8)
 
     def test_noncyclic_quotient_found(self):
         # Z^4/L = Z_3 + Z_3 is not cyclic: its HNF diagonal has two entries above 1
@@ -276,9 +298,48 @@ class TestExhaustiveSearch:
         assert (verdict.status, verdict.examined, verdict.found) == ("NoPerfectCode", 959171, ())
         assert nonexistence_divisibility_check(5, 1).status == "NoPerfectCode"
 
+    def test_constructive_nonexistence_6_4_1(self):
+        # 951,372,240 index-57 sublattices of Z^6, all ruled out: 57 = 3 * 19 is
+        # squarefree, so Z_57 is the one group to search
+        verdict = exhaustive_perfect_search(6, 4, 1, budget=10**9)
+        assert (verdict.status, verdict.examined, verdict.found) == ("NoPerfectCode", 951372240, ())
+        assert nonexistence_divisibility_check(6, 1).status == "NoPerfectCode"
+
     @pytest.mark.parametrize("params", [(2, 1, 1), (3, 2, 1), (4, 2, 1), (4, 1, 2), (5, 1, 1)])
     def test_matches_membership_reference(self, params):
         # same status, examined count and found bases as a full Lattice per
         # candidate tested against the sphere's difference set
         assert exhaustive_perfect_search(*params) == reference_perfect_search(*params)
 
+
+@st.composite
+def labellings(draw):
+    divs = tuple(draw(st.lists(st.integers(1, 12), min_size=1, max_size=3)))
+    n = draw(st.integers(1, 5))
+    rows = tuple(tuple(draw(st.lists(st.integers(-30, 30), min_size=n, max_size=n))) for _ in divs)
+    return divs, rows
+
+
+class TestKernelBasis:
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(labellings())
+    def test_matches_splitting_to_lattice(self, labelling):
+        # the search's kernel basis, closed form in Z_d and counted in a
+        # product group, against the integer kernel of the residue rows
+        divs, rows = labelling
+        strides = [math.prod(divs[c + 1:]) for c in range(len(divs))]
+        beta = [sum(row[i] % d * stride for row, d, stride in zip(rows, divs, strides))
+                for i in range(len(rows[0]))]
+        expected = splitting_to_lattice(SplittingSequence(divs, rows)).canonical()
+        assert _Group(divs).kernel(beta) == expected.entries
+
+
+class TestAutomorphismOrbits:
+    @pytest.mark.parametrize("divs", [
+        (12,), (36,), (2, 2), (2, 4), (2, 6), (3, 3), (4, 4), (2, 8), (3, 9), (2, 12),
+        (4, 8), (2, 2, 2), (2, 2, 4), (2, 2, 6),
+    ])
+    def test_least_orbit_element(self, divs):
+        # the search puts the entry of least orbit first: its Ulm-sequence
+        # orbits must be the orbits of every automorphism, tried one by one
+        assert _orbit_least(divs) == reference_orbit_least(divs)
