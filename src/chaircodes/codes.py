@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import permutations
+from operator import mul
 from typing import Iterator, Sequence
 
 from .budget import as_int, check_budget, parse_int
@@ -284,86 +285,81 @@ def _ordered_factorizations(s: int, n: int) -> Iterator[tuple[int, ...]]:
 
 class _Group:
     """Z_d1 + ... + Z_dk with its elements numbered in mixed radix, the last
-    factor fastest, and subsets of it held as bitmasks over those numbers.
+    factor fastest: x is the sum of its digits x_c times stride_c, the product
+    of the factors after c.  Subsets are bitmasks over those numbers.
 
-    Adding an element x to a subset moves its bits factor by factor: inside
-    each block of d_c * stride_c numbers a bit rises by x_c * stride_c, and
-    the bits that pass the end of their block wrap round to its start.  _moves
-    lists those (low mask, rise, fall) steps per element for _shift; Z_s, a
-    single rotation, computes its step when needed and keeps no table.
+    Adding an element to a subset moves its bits factor by factor: inside each
+    block of d_c * stride_c numbers a bit rises by x_c * stride_c, and the bits
+    that pass the end of their block wrap round to its start.  _moves gives
+    those steps for one element when they are needed, and _shift takes them;
+    no table over the elements is kept.
     """
 
     def __init__(self, divs: Sequence[int]) -> None:
         self.divs = tuple(divs)
         self.order = s = math.prod(divs)
-        self._moves: list[tuple[tuple[int, int, int], ...]] | None = None
-        if len(divs) > 1:
-            strides = [math.prod(divs[c + 1:]) for c in range(len(divs))]
-            steps = []  # steps[c][g]: the step that adds g to digit c
-            for d, stride in zip(divs, strides):
-                block = d * stride
-                blocks = ((1 << s) - 1) // ((1 << block) - 1)  # bit 0 of every block
-                steps.append([(((1 << (block - g * stride)) - 1) * blocks, g * stride, block - g * stride)
-                              for g in range(d)])
-            self._moves = []
-            for x in range(s):
-                digits = [x // stride % d for d, stride in zip(divs, strides)]
-                self._moves.append(tuple(steps[c][g] for c, g in enumerate(digits) if g))
+        self.strides = tuple(math.prod(divs[c + 1:]) for c in range(len(divs)))
+        # per factor: its order, stride, and bit 0 of each of its blocks
+        self._factors = tuple((d, stride, ((1 << s) - 1) // ((1 << d * stride) - 1))
+                              for d, stride in zip(self.divs, self.strides))
+
+    def _moves(self, x: int, q: int) -> tuple[tuple[int, int, int], ...]:
+        """The (low mask, rise, fall) steps by which _shift adds q times the
+        element x: per factor, the bits below the fall keep to their block."""
+        moves = []
+        for d, stride, starts in self._factors:
+            rise = q * (x // stride) % d * stride
+            if rise:
+                fall = d * stride - rise
+                moves.append(((starts << fall) - starts, rise, fall))
+        return tuple(moves)
 
     def kernel(self, beta: Sequence[int]) -> tuple[tuple[int, ...], ...]:
         """Hermite normal form (exactmath.hermite_normal_form's convention,
         row-wise) of the lattice of integer vectors v with sum v_i beta_i = 0.
 
-        Let H_i be the subgroup spanned by beta_i..beta_{n-1}, H_n = 0.  The
-        kernel vectors that vanish left of i have i-th entries d_i Z, d_i the
-        order of beta_i modulo H_{i+1}: that is the diagonal.  Column i goes
-        on with the unique h_ji in [0, d_j) that keeps its partial sum
-        d_i beta_i + ... + h_ji beta_j in H_{j+1}.  In Z_s this is closed
-        form: H_i = g_i Z_s with g_i = gcd(s, beta_i, ..., beta_{n-1}), so
-        d_i = g_{i+1} / g_i and each h_ji is one modular solve.  Otherwise
-        the subgroups are bitmasks and the orders and entries are counted.
+        The kernel is cut out one factor at a time.  In Z_d it is closed form
+        (_cyclic_kernel).  Once a basis B of the vectors whose digits vanish
+        in the factors before c is known, the next kernel is B times the
+        cyclic kernel of the digit-c labels of B's columns; both are lower
+        triangular, so the product is too, and reducing each entry modulo the
+        diagonal of its row puts it in Hermite form.
         """
         n = len(beta)
-        rows = [[0] * n for _ in range(n)]
-        if self._moves is None:
-            s = self.order
-            g = [s] * (n + 1)
-            for i in reversed(range(n)):
-                g[i] = math.gcd(beta[i], g[i + 1])
-            partial = [0] * n  # partial[i]: column i's sum so far
-            for j in range(n):
-                rows[j][j] = d = g[j + 1] // g[j]
-                partial[j] = d * beta[j]
-                if d > 1:
-                    inverse = mod_inverse(beta[j] // g[j], d)
-                    for i in range(j):
-                        rows[j][i] = x = -(partial[i] % s // g[j]) * inverse % d
-                        partial[i] += x * beta[j]
-            return tuple(map(tuple, rows))
-        moves = [self._moves[x] for x in beta]
-        span = [0] * n + [1]  # span[i]: H_i as a bitmask
-        for i in reversed(range(n)):
-            span[i] = coset = span[i + 1]
-            rows[i][i] = 1
-            while not (coset := _shift(coset, moves[i])) & 1:
-                span[i] |= coset
-                rows[i][i] += 1
-        for i in range(n):
-            total = 1  # column i's sum, as a one-bit mask
-            for _ in range(rows[i][i]):
-                total = _shift(total, moves[i])
-            for j in range(i + 1, n):
-                while not total & span[j + 1]:
-                    total = _shift(total, moves[j])
-                    rows[j][i] += 1
+        factors = list(zip(self.divs, self.strides))
+        d, stride = factors[0]
+        rows = _cyclic_kernel([b // stride % d for b in beta], d)
+        for d, stride in factors[1:]:
+            labels = [b // stride % d for b in beta]
+            cut = _cyclic_kernel([sum(map(mul, column, labels)) % d for column in zip(*rows)], d)
+            # rows = rows @ cut.  Only a row r of cut with diagonal e > 1 has
+            # entries left of it: it adds column r into those columns, then
+            # scales column r, whose old value no other row of cut reads
+            for r in range(n):
+                e = cut[r][r]
+                if e > 1:
+                    for i in range(r):
+                        h = cut[r][i]
+                        if h:
+                            for j in range(r, n):
+                                rows[j][i] += h * rows[j][r]
+                    for j in range(r, n):
+                        rows[j][r] *= e
+            for i in range(n):
+                for j in range(i + 1, n):
+                    q = rows[j][i] // rows[j][j]
+                    if q:
+                        for r in range(j, n):
+                            rows[r][i] -= q * rows[r][j]
         return tuple(map(tuple, rows))
 
     def splittings(self, n: int, t: int, ell: int) -> Iterator[tuple[int, ...]]:
         """Every strictly increasing beta in G^n, t >= 1, under which the
         uniform sphere's points take distinct values, whose first entry g is
         the least of its orbit and whose other entries' orbits go no lower."""
-        s, table = self.order, self._moves
+        s = self.order
         least = _orbit_least(self.divs)
+        plan = _doubling_plan(ell)
         beta = [0] * n
 
         def extend(j: int, options: Sequence[int], weights: list[int],
@@ -372,8 +368,7 @@ class _Group:
             # first j coordinates with w nonzero entries; used: their union
             top = min(j + 1, t)
             for x in options:
-                move = table[x] if table else (((1 << (s - x)) - 1, x, s - x),)
-                placed = _place(weights, used, move, top, ell)
+                placed = self._place(weights, used, x, top, plan)
                 if placed is None:
                     continue
                 beta[j] = x
@@ -384,11 +379,81 @@ class _Group:
                 # every entry after beta_0 = x has an orbit no lower than x's
                 pool = options if j else [y for y in range(1, s) if least[y] >= x]
                 # a value already taken can never be a later entry
-                later = [y for y in pool if y > x and not seen >> y & 1]
+                taken = f"{seen:0{s}b}"[::-1]
+                later = [y for y in pool if y > x and taken[y] == "0"]
                 if len(later) >= n - 1 - j:
                     yield from extend(j + 1, later, grown, seen)
 
         yield from extend(0, [x for x in range(1, s) if least[x] == x], [1] + [0] * t, 1)
+
+    def _place(self, weights: list[int], used: int, x: int, top: int,
+               plan: list[tuple[bool, int]]) -> tuple[list[int], int] | None:
+        """weights and used after one more coordinate of value x: weight w
+        gains weights[w - 1] + a*x for a = 1..ell, w <= top, built by the
+        shifts of _doubling_plan(ell).  None as soon as two sphere points
+        take one value."""
+        grown = list(weights)
+        last, moves = 0, ()  # moves: the moves of last*x
+        for w in range(top, 0, -1):
+            span = 0  # weights[w - 1] + a*x for the a covered so far
+            for doubling, q in plan:
+                if q != last:
+                    moves, last = self._moves(x, q), q
+                piece = _shift(span if doubling else weights[w - 1], moves)
+                if piece & used:
+                    return None
+                used |= piece
+                span |= piece
+            grown[w] |= span
+        return grown, used
+
+
+def _doubling_plan(ell: int) -> list[tuple[bool, int]]:
+    """Shifts that cover the multiples a = 1..ell of an element, read off
+    ell's bits from the top: (True, p) doubles the span of 1..p by adding p,
+    and (False, p + 1) adds the one multiple p + 1 to the base set.  That is
+    at most 2 log2(ell) shifts rather than ell."""
+    plan, p = [], 0
+    for bit in f"{ell:b}":
+        if p:
+            plan.append((True, p))
+            p *= 2
+        if bit == "1":
+            plan.append((False, p + 1))
+            p += 1
+    return plan
+
+
+def _shift(mask: int, moves: tuple[tuple[int, int, int], ...]) -> int:
+    """The subset mask plus one group element, given by its _Group._moves."""
+    for low, rise, fall in moves:
+        kept = mask & low
+        mask = (kept << rise) | ((mask ^ kept) >> fall)
+    return mask
+
+
+def _cyclic_kernel(labels: Sequence[int], d: int) -> list[list[int]]:
+    """The kernel of the labelling of Z^n by labels in Z_d, in Hermite form.
+    Let g_i = gcd(d, labels_i, ..., labels_{n-1}), g_n = d, so the labels
+    from i on span g_i Z_d.  The kernel vectors that vanish left of i have
+    i-th entries in (g_{i+1} / g_i) Z: that is the diagonal.  Column i goes
+    on with the unique h_ji in [0, d_j) that keeps its partial sum
+    d_i labels_i + ... + h_ji labels_j in g_{j+1} Z_d, one modular solve."""
+    n = len(labels)
+    rows = [[0] * n for _ in range(n)]
+    g = [d] * (n + 1)
+    for i in reversed(range(n)):
+        g[i] = math.gcd(labels[i], g[i + 1])
+    partial = [0] * n  # partial[i]: column i's sum so far
+    for j in range(n):
+        rows[j][j] = e = g[j + 1] // g[j]
+        partial[j] = e * labels[j]
+        if e > 1:
+            inverse = mod_inverse(labels[j] // g[j], e)
+            for i in range(j):
+                rows[j][i] = h = -(partial[i] % d // g[j]) * inverse % e
+                partial[i] += h * labels[j]
+    return rows
 
 
 def _orbit_least(divs: Sequence[int]) -> list[int]:
@@ -404,18 +469,19 @@ def _orbit_least(divs: Sequence[int]) -> list[int]:
     strides = [math.prod(divs[c + 1:]) for c in range(len(divs))]
     primes = [p for p in range(2, s + 1) if s % p == 0 and all(p % q for q in range(2, p))]
     exps = [[_valuation(d, p) for d in divs] for p in primes]
-    ulm: dict[tuple, tuple] = {}  # valuations of the digits -> Ulm sequences
+    orbits: dict[tuple, int] = {}  # gcds of the digits with their factors -> least
     first: dict[tuple, int] = {}  # Ulm sequences -> the first element with them
     least = []
     for x in range(s):
-        digits = [x // stride % d for d, stride in zip(divs, strides)]
-        vals = tuple(tuple(_valuation(a, p) if a % p**e else e for a, e in zip(digits, es))
-                     for p, es in zip(primes, exps))
-        if vals not in ulm:
-            ulm[vals] = tuple(tuple(min((v + j for v, e in zip(vs, es) if v + j < e), default=-1)
-                                    for j in range(max(es)))
-                              for vs, es in zip(vals, exps))
-        least.append(first.setdefault(ulm[vals], x))
+        key = tuple(math.gcd(x // stride % d, d) for d, stride in zip(divs, strides))
+        if key not in orbits:
+            # the gcd of a digit with p^e_c | d_c keeps the digit's valuation up to e_c
+            vals = [[_valuation(g, p) for g in key] for p in primes]
+            ulm = tuple(tuple(min((v + j for v, e in zip(vs, es) if v + j < e), default=-1)
+                              for j in range(max(es)))
+                        for vs, es in zip(vals, exps))
+            orbits[key] = first.setdefault(ulm, x)
+        least.append(orbits[key])
     return least
 
 
@@ -427,31 +493,6 @@ def _valuation(a: int, p: int) -> int:
     return v
 
 
-def _place(weights: list[int], used: int, move: tuple[tuple[int, int, int], ...],
-           top: int, ell: int) -> tuple[list[int], int] | None:
-    """weights and used after one more coordinate, of value x given by its
-    move: weight w gains weights[w - 1] + a*x for a = 1..ell, w <= top.  None
-    as soon as two sphere points take one value."""
-    grown = list(weights)
-    for w in range(top, 0, -1):
-        values = weights[w - 1]
-        for _ in range(ell):
-            values = _shift(values, move)
-            if values & used:
-                return None
-            used |= values
-            grown[w] |= values
-    return grown, used
-
-
-def _shift(mask: int, moves: tuple[tuple[int, int, int], ...]) -> int:
-    """The subset mask plus one group element, given by its _Group._moves."""
-    for low, rise, fall in moves:
-        kept = mask & low
-        mask = (kept << rise) | ((mask ^ kept) >> fall)
-    return mask
-
-
 def exhaustive_perfect_search(n: int, t: int, ell: int, budget: int | None = None) -> SearchVerdict:
     """Search every integer lattice of index = sphere size for perfect codes.
 
@@ -461,7 +502,9 @@ def exhaustive_perfect_search(n: int, t: int, ell: int, budget: int | None = Non
     group G of order s that splits the sphere has a kernel of index s.  So the
     search runs over the abelian groups G of order s with at most n
     invariant factors, backtracks over beta in G^n one entry at a time, and
-    drops a branch once two partial sphere sums collide.
+    drops a branch once two partial sphere sums collide.  The values taken
+    are bitmasks over G, one per weight; a new entry x adds their translates
+    by x, 2x, ..., ell*x, built by doubling in about 2 log2(ell) shifts.
 
     Two symmetries cut it down.  The sphere is invariant under permuting the
     coordinates, and its unit vectors need distinct values, so beta is taken
@@ -475,7 +518,10 @@ def exhaustive_perfect_search(n: int, t: int, ell: int, budget: int | None = Non
 
     `examined` counts the lattices covered, every index-s sublattice, as the
     candidates of a search over Hermite normal forms would; an empty result is
-    a constructive nonexistence proof at these parameters.
+    a constructive nonexistence proof at these parameters.  Both examined and
+    s are charged to the budget up front.  Besides the kernels found, the
+    search keeps O(s) numbers per group and the masks of one branch, O(n t s)
+    bits, so its memory grows with the charged s.
     """
     n, t, ell = as_int(n, "n"), as_int(t, "t"), as_int(ell, "ell")
     s = sphere_size(n, t, ell)

@@ -10,8 +10,10 @@ from chaircodes.chair import Chair, enumerate_points
 from chaircodes.codes import (
     ErrorSphere,
     LatticeCode,
+    _doubling_plan,
     _Group,
     _orbit_least,
+    _shift,
     decode,
     enumerate_sphere,
     exhaustive_perfect_search,
@@ -20,6 +22,7 @@ from chaircodes.codes import (
     sphere_size,
 )
 from chaircodes.errors import BadParameters, BudgetExceeded, NotPerfect
+from chaircodes.exactmath import IntMatrix
 from chaircodes.lattice import Lattice, SplittingSequence, chair_lattice, lattice_points_in_box, verify_tiling
 from chaircodes.splitting import splitting_to_lattice
 
@@ -280,6 +283,7 @@ class TestExhaustiveSearch:
     @pytest.mark.parametrize("params", [
         (5, 3, 1), (5, 2, 1), (5, 2, 2), (4, 2, 3),  # none or a few found
         (4, 4, 1), (3, 3, 2), (3, 3, 1), (2, 2, 5),  # full boxes: many found, many non-cyclic groups
+        (2, 2, 19), (2, 1, 999),  # ell well past 4: the multiples are doubled up
     ])
     def test_matches_column_search(self, params):
         # the column search this replaced, on sets the plain loop takes too long for
@@ -305,6 +309,12 @@ class TestExhaustiveSearch:
         assert (verdict.status, verdict.examined, verdict.found) == ("NoPerfectCode", 951372240, ())
         assert nonexistence_divisibility_check(6, 1).status == "NoPerfectCode"
 
+    def test_one_coordinate_long_sphere(self):
+        # the only index-s lattice of Z is sZ, and 0..ell covers Z_s once
+        verdict = exhaustive_perfect_search(1, 1, 99999)
+        assert (verdict.status, verdict.examined) == ("Found", 1)
+        assert verdict.found == (IntMatrix(((100000,),)),)
+
     @pytest.mark.parametrize("params", [(2, 1, 1), (3, 2, 1), (4, 2, 1), (4, 1, 2), (5, 1, 1)])
     def test_matches_membership_reference(self, params):
         # same status, examined count and found bases as a full Lattice per
@@ -324,14 +334,47 @@ class TestKernelBasis:
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)
     @given(labellings())
     def test_matches_splitting_to_lattice(self, labelling):
-        # the search's kernel basis, closed form in Z_d and counted in a
-        # product group, against the integer kernel of the residue rows
+        # the search's kernel basis, closed form in Z_d and cut out factor by
+        # factor in a product group, against the integer kernel of the residue rows
         divs, rows = labelling
         strides = [math.prod(divs[c + 1:]) for c in range(len(divs))]
         beta = [sum(row[i] % d * stride for row, d, stride in zip(rows, divs, strides))
                 for i in range(len(rows[0]))]
         expected = splitting_to_lattice(SplittingSequence(divs, rows)).canonical()
         assert _Group(divs).kernel(beta) == expected.entries
+
+
+@st.composite
+def translations(draw):
+    divs = tuple(draw(st.lists(st.integers(1, 9), min_size=1, max_size=3)))
+    order = math.prod(divs)
+    members = draw(st.sets(st.integers(0, order - 1)))
+    return divs, members, draw(st.integers(0, order - 1)), draw(st.integers(0, 20))
+
+
+class TestShift:
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(translations())
+    def test_matches_digitwise_sum(self, translation):
+        # a bitmask shifted by the moves of q*x holds each member plus q*x,
+        # added digit by digit with no carry between the factors
+        divs, members, x, q = translation
+        group = _Group(divs)
+        strides = [math.prod(divs[c + 1:]) for c in range(len(divs))]
+
+        def add(v):
+            return sum((v // stride + q * (x // stride)) % d * stride for d, stride in zip(divs, strides))
+
+        mask = sum(1 << v for v in members)
+        assert _shift(mask, group._moves(x, q)) == sum(1 << add(v) for v in members)
+
+    def test_doubling_plan_covers_each_multiple_once(self):
+        for ell in range(1, 300):
+            span: list[int] = []
+            for doubling, q in _doubling_plan(ell):
+                span += [a + q for a in span] if doubling else [q]
+            assert sorted(span) == list(range(1, ell + 1)), ell
+            assert len(_doubling_plan(ell)) < 2 * ell.bit_length()
 
 
 class TestAutomorphismOrbits:
