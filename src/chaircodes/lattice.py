@@ -7,9 +7,10 @@ transposed generator (columns as basis), so two generators describe the same
 lattice exactly when their canonical forms are equal.  Quotient structure
 Z^n / lattice comes from the Smith normal form of the generator, as a
 SplittingSequence: the labels of the unit vectors in Z_d1 + ... + Z_dk.
-Lattice points in a box are found by a walk down the Hermite basis or, as the
-points of label zero, by joining the labels of two half-boxes, whichever is
-smaller for the lattice and box at hand.
+Lattice points in a box are found by the smallest of three exact searches
+for the lattice and box at hand: a walk on the generator itself when it is
+a cyclic band like the chair's, a walk down the Hermite basis, or, as the
+points of label zero, a join of the labels of two half-boxes.
 A rational lattice L is handled through its integer model sL, s being the
 least integer with sL inside Z^n.
 """
@@ -25,11 +26,12 @@ from itertools import product
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import exactmath
-from .budget import as_int, check_budget
+from .budget import as_int, check_budget, resolve_budget
 from .chair import Chair, Scalar, as_exact, enumerate_points, shifted_copies_intersect, volume
 from .errors import (
     BadModulus,
     BadParameters,
+    BudgetExceeded,
     DimensionMismatch,
     NonIntegerLattice,
     NonSquare,
@@ -175,8 +177,8 @@ class Lattice:
         self.generator: tuple[tuple[Scalar, ...], ...] = gen
         self.n = n
         self.scale = math.lcm(*(x.denominator for row in gen for x in row))
-        self._int_rows = [[int(x * self.scale) for x in row] for row in gen]
-        det_scaled = exactmath.determinant(IntMatrix(tuple(map(tuple, self._int_rows))))
+        self._matrix = IntMatrix(tuple(tuple(int(x * self.scale) for x in row) for row in gen))
+        det_scaled = exactmath.determinant(self._matrix)
         if det_scaled == 0:
             raise SingularMatrix("basis rows are linearly dependent")
         self._det = Fraction(det_scaled, self.scale**n)
@@ -196,7 +198,7 @@ class Lattice:
     def generator_matrix(self) -> IntMatrix:
         if not self.is_integer:
             raise NonIntegerLattice("lattice has rational basis vectors")
-        return IntMatrix(tuple(map(tuple, self._int_rows)))
+        return self._matrix
 
     def integer_model(self) -> Lattice:
         """The lattice scaled by scale, the least s with sL inside Z^n (itself
@@ -204,7 +206,7 @@ class Lattice:
         if self.is_integer:
             return self
         if self._scaled is None:
-            self._scaled = Lattice(self._int_rows)
+            self._scaled = Lattice(self._matrix.entries)
         return self._scaled
 
     def canonical(self) -> IntMatrix:
@@ -286,16 +288,19 @@ class Lattice:
         return cls(rows)
 
 
-def chair_lattice(c: Chair) -> Lattice:
-    """Lattice tiling the chair: sides on the diagonal, negated notch sides on
-    the superdiagonal, and the first notch side negated in the corner."""
-    n = c.n
-    rows = [[as_exact(0)] * n for _ in range(n)]
+def chair_rows(sides: Sequence[Scalar], notch: Sequence[Scalar]) -> list[list[Scalar]]:
+    """The chair's tiling basis: row i is l_i*e_i - k_{i+1}*e_{i+1}, indices mod n."""
+    n = len(sides)
+    rows: list[list[Scalar]] = [[0] * n for _ in range(n)]
     for i in range(n):
-        rows[i][i] = rows[i][i] + c.sides[i]
-        j = (i + 1) % n
-        rows[i][j] = rows[i][j] - c.notch[j]
-    return Lattice(rows)
+        rows[i][i] += sides[i]
+        rows[i][(i + 1) % n] -= notch[(i + 1) % n]
+    return rows
+
+
+def chair_lattice(c: Chair) -> Lattice:
+    """Lattice tiling the chair, spanned by chair_rows."""
+    return Lattice(chair_rows(c.sides, c.notch))
 
 
 def _value_keys(s: SplittingSequence, ranges: Sequence[range], start: int, sign: int) -> list[int]:
@@ -354,73 +359,143 @@ def box_join(s: SplittingSequence, bounds: Sequence[int]) -> Iterator[tuple[int,
             yield xa + xb
 
 
-def _walk_size(h: Sequence[Sequence[int]], bounds: Sequence[int]) -> int:
-    """Most nodes _walk visits: below each node of depth i, the coefficient
-    of basis column i takes at most 2*bounds[i] // h[i][i] + 1 values."""
+def _walk_size(diag: Sequence[int], bounds: Sequence[int], lead: int | None = None) -> int:
+    """Most nodes _walk visits on a basis with positive diagonal diag: below
+    each node of depth i, the coefficient of basis column i takes at most
+    2*bounds[i] // diag[i] + 1 values, or 2*lead + 1 at depth 0 when lead is
+    given."""
     total = level = 1
     for i, b in enumerate(bounds):
-        level *= max(2 * b // h[i][i] + 1, 0)
+        level *= 2 * lead + 1 if lead is not None and i == 0 else max(2 * b // diag[i] + 1, 0)
         total += level
     return total
 
 
-def _walk(h: Sequence[Sequence[int]], bounds: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """The points of the lattice spanned by the columns of the lower-triangular
-    h in the box |x_i| <= bounds[i], walking down the basis, so only
-    coefficient ranges that can stay inside the box are ever visited."""
-    n = len(bounds)
-    coords = [0] * n
+def _diagonal(m: IntMatrix) -> list[int]:
+    return [m.entries[i][i] for i in range(m.rows)]
 
-    def rec(i: int) -> Iterator[tuple[int, ...]]:
-        if i == n:
-            yield tuple(coords)
-            return
-        d = h[i][i]
-        base = coords[i]
-        cmin = -((bounds[i] + base) // d)
-        cmax = (bounds[i] - base) // d
+
+def _walk(h: Sequence[Sequence[int]], bounds: Sequence[int], lead: int | None = None,
+          limit: int | None = None) -> list[tuple[int, ...]]:
+    """The points of the lattice spanned by the columns of h in the box
+    |x_i| <= bounds[i], in the lexicographic order of their coefficients.
+
+    h has a positive diagonal and is lower triangular, except that h[0][n-1]
+    may be nonzero (the corner of a cyclic band).  Column i is the last to
+    touch coordinate i, so the walk fixes the coefficients column by column
+    and keeps those that leave x_i inside the box.  With the corner, column
+    n-1 closes x_0 too, and the first coefficient runs over [-lead, lead].
+    With limit, visiting more than limit nodes raises BudgetExceeded.
+    """
+    n = len(bounds)
+    last = n - 1
+    cols = [[(r, h[r][i]) for r in range(n) if h[r][i]] for i in range(n)]
+    coords = [0] * n
+    points: list[tuple[int, ...]] = []
+    nodes = 1
+
+    def rec(i: int) -> None:
+        nonlocal nodes
+        if i or lead is None:
+            d, base = h[i][i], coords[i]
+            cmin, cmax = -((bounds[i] + base) // d), (bounds[i] - base) // d
+        else:
+            cmin, cmax = -lead, lead
+        if i == last and lead is not None:
+            e, base = h[0][i], coords[0]
+            if e:
+                d, base = abs(e), base if e > 0 else -base
+                cmin, cmax = max(cmin, -((bounds[0] + base) // d)), min(cmax, (bounds[0] - base) // d)
+            elif abs(base) > bounds[0]:
+                return
         if cmin > cmax:
             return
-        col = [h[r][i] for r in range(i, n)]
-        if cmin:
-            for r in range(i, n):
-                coords[r] += cmin * col[r - i]
-        c = cmin
-        while True:
-            yield from rec(i + 1)
-            if c == cmax:
-                break
-            c += 1
-            for r in range(i, n):
-                coords[r] += col[r - i]
-        for r in range(i, n):
-            coords[r] -= cmax * col[r - i]
+        if limit is not None:
+            nodes += cmax - cmin + 1
+            if nodes > limit:
+                raise BudgetExceeded(f"lattice box walk visits over {limit} nodes, budget is {limit}")
+        col = cols[i]
+        for r, x in col:
+            coords[r] += (cmin - 1) * x
+        for _ in range(cmin, cmax + 1):
+            for r, x in col:
+                coords[r] += x
+            if i < last:
+                rec(i + 1)
+            else:
+                points.append(tuple(coords))
+        for r, x in col:
+            coords[r] -= cmax * x
 
-    return rec(0)
+    rec(0)
+    return points
+
+
+def band_walk(rows: Sequence[Sequence[int]], bounds: Sequence[int]
+              ) -> tuple[int, Callable[[int], list[tuple[int, ...]]]] | None:
+    """The walk on a cyclic-bidiagonal basis, or None for any other basis.
+
+    Row j must be d_j*e_j + o_{j+1}*e_{j+1}, indices mod n >= 2, with
+    |d_j| > |o_j| for every j, as in chair_rows.  A point sum c_j*row_j has
+    x_j = c_j*d_j + c_{j-1}*o_j, so at a j where |c_j| is largest,
+    |x_j| >= |c_j|*(|d_j| - |o_j|): every |c_j| is at most
+    lead = max_j bounds[j] // (|d_j| - |o_j|).  Returns (the most nodes the
+    walk visits, a function of the budget that runs _walk on the rows,
+    negated where d_j < 0, charging per node, and returns the points sorted).
+    """
+    n = len(rows)
+    if n < 2:
+        return None
+    lead = 0
+    for j, row in enumerate(rows):
+        gap = abs(row[j]) - abs(rows[j - 1][j])
+        if gap <= 0 or n - row.count(0) != 1 + (row[(j + 1) % n] != 0):
+            return None
+        lead = max(lead, bounds[j] // gap)
+
+    def run(limit: int) -> list[tuple[int, ...]]:
+        h = [[0] * n for _ in range(n)]
+        for j, row in enumerate(rows):
+            k = (j + 1) % n
+            sign = -1 if row[j] < 0 else 1
+            h[j][j], h[k][j] = sign * row[j], sign * row[k]
+        return sorted(_walk(h, bounds, lead, limit))
+
+    return _walk_size([abs(row[j]) for j, row in enumerate(rows)], bounds, lead), run
 
 
 def lattice_points_in_box(lat: Lattice, max_abs: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """All integer-lattice points x with |x_i| <= max_abs[i], zero included,
     in lexicographic order.
 
-    Two exact searches are sized before either runs.  A walk down the
+    Up to three exact searches are sized before any runs.  A generator that
+    is a cyclic band, like chair_rows, is walked on its own rows (band_walk),
+    with few nodes however many dimensions the box has.  A walk down the
     lower-triangular Hermite basis visits at most _walk_size nodes, few when
     the lattice is sparse in the box (large Hermite diagonal entries).  The
     lattice is the kernel of its labelling, so box_join on it finds the same
     points with two tables of at most join_size entries, few when the box is
-    small however dense the lattice.  The smaller of the two sizes runs and is
-    checked against the budget.  Both yield in lexicographic order: the walk
-    is lexicographic in the Hermite coefficients, which on a lower-triangular
-    basis with positive diagonal order the points as x does.
+    small however dense the lattice.  The smallest size runs.  The band walk
+    is charged per node; a band size within the budget skips the Hermite
+    form, and one over it must beat the Hermite walk too.  The other two are
+    checked on their size and yield in lexicographic order: the Hermite walk
+    is lexicographic in the coefficients, which on a lower-triangular basis
+    with positive diagonal order the points as x does.
     """
     bounds = [as_int(b, "a box bound") for b in max_abs]
     if len(bounds) != lat.n:
         raise DimensionMismatch(f"{len(bounds)} bounds for {lat.n} coordinates")
-    h = lat.canonical().entries
-    nodes = _walk_size(h, bounds)
-    if nodes < join_size(bounds):
+    join = join_size(bounds)
+    band = band_walk(lat.generator_matrix().entries, bounds)
+    if band and band[0] < join:
+        limit = resolve_budget()
+        if band[0] <= limit or band[0] < _walk_size(_diagonal(lat.canonical()), bounds):
+            return iter(band[1](limit))
+    h = lat.canonical()
+    nodes = _walk_size(_diagonal(h), bounds)
+    if nodes < join:
         check_budget(nodes, None, "lattice box walk")
-        return _walk(h, bounds)
+        return iter(_walk(h.entries, bounds))
     return box_join(lat.labeling(), bounds)
 
 

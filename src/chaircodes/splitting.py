@@ -12,13 +12,14 @@ live here.
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 from . import exactmath
-from .budget import as_int
+from .budget import as_int, resolve_budget
 from .chair import Chair, enumerate_points, shifted_copies_intersect, volume
 from .errors import BadParameters, HypothesisViolated, NotDiscrete
 from .exactmath import IntMatrix, mod_inverse
-from .lattice import Lattice, SplittingSequence, Verdict, box_join, join_size
+from .lattice import Lattice, SplittingSequence, Verdict, band_walk, box_join, chair_rows, join_size
 
 
 def alpha_unit(n: int, ell: int) -> int:
@@ -81,11 +82,15 @@ def verify_splitting(c: Chair, s: SplittingSequence) -> Verdict:
     """Check that the chair points take pairwise distinct values under s.
 
     Two chair points p != q share a value exactly when x = p - q is a nonzero
-    vector of value 0 with |x_i| < l_i that shifts the chair onto itself, and
-    a box_join on s's own labelling finds every such x.  When the join's
-    larger table is smaller than the chair, a join that finds none passes.
-    Otherwise the chair's points are labelled one by one, which also reports
-    the first colliding pair in lexicographic order.
+    vector of value 0 with |x_i| < l_i that shifts the chair onto itself.
+    When s has value 0 on every row of chair_rows, taken in the coordinate
+    order s.permutation records, and its residues generate G, its kernel
+    contains the lattice of those rows and has the same index, the volume,
+    so it is that lattice, and band_walk on the rows finds every such x.  A
+    box_join on s's own labelling always does.  The cheapest of the walk,
+    the join and the chair's volume runs, and a walk or join that finds no
+    such x passes.  Otherwise the chair's points are labelled one by one,
+    which also reports the first colliding pair in lexicographic order.
     """
     if not c.is_discrete:
         raise NotDiscrete("splitting verification needs a discrete chair")
@@ -95,10 +100,18 @@ def verify_splitting(c: Chair, s: SplittingSequence) -> Verdict:
     if s.order != vol:
         return Verdict.failed("group order does not match chair volume",
                               group_order=s.order, chair_volume=vol)
-    bounds = [l - 1 for l in c.int_sides()]
-    if join_size(bounds) < vol and not any(
-        shifted_copies_intersect(c, x) for x in box_join(s, bounds) if any(x)
-    ):
+    sides, notch, perm = c.int_sides(), c.int_notch(), s.permutation
+    bounds = [l - 1 for l in sides]
+    rows = chair_rows([sides[i] for i in perm], [notch[i] for i in perm])  # coordinate j is x[perm[j]]
+    join = join_size(bounds)
+    band = band_walk(rows, [bounds[i] for i in perm])
+    points = None
+    if (band and band[0] < min(join, vol) and _generates(s)
+            and not any(any(s.value(_placed(row, perm))) for row in rows)):
+        points = [_placed(y, perm) for y in band[1](resolve_budget())]
+    elif join < vol:
+        points = box_join(s, bounds)
+    if points is not None and not any(shifted_copies_intersect(c, x) for x in points if any(x)):
         return Verdict.passed(values=vol)
     seen: dict[tuple[int, ...], tuple[int, ...]] = {}
     for p in enumerate_points(c):
@@ -107,6 +120,27 @@ def verify_splitting(c: Chair, s: SplittingSequence) -> Verdict:
             return Verdict.failed("two chair points share a group value", (seen[val], p))
         seen[val] = p
     return Verdict.passed(values=vol)
+
+
+def _placed(y: Sequence[int], perm: Sequence[int]) -> tuple[int, ...]:
+    """The point x with x[perm[j]] = y[j]."""
+    x = [0] * len(perm)
+    for j, i in enumerate(perm):
+        x[i] = y[j]
+    return tuple(x)
+
+
+def _generates(s: SplittingSequence) -> bool:
+    """Whether the labels of e_1..e_n generate G = Z_d1 + ... + Z_dk: with
+    the vectors d_j*e_j they must span Z^k, so every pivot of their echelon
+    form is 1 or -1."""
+    k = len(s.divisors)
+    if k == 1:
+        return math.gcd(*s.divisors, *s.residues[0]) == 1
+    vecs = [list(col) for col in zip(*s.residues)]
+    vecs += [[d if t == j else 0 for t in range(k)] for j, d in enumerate(s.divisors)]
+    exactmath._echelon(vecs, None, k)
+    return all(abs(vecs[j][j]) == 1 for j in range(k))
 
 
 def splitting_to_lattice(s: SplittingSequence) -> Lattice:

@@ -94,6 +94,38 @@ class TestConstruct:
         assert verdicts["tiling"] == {"ok": True}
         assert verdicts["splitting"] == {"ok": True, "detail": {"values": str(7**8 - 4**8)}}
 
+    @pytest.mark.parametrize("n", [11, 16, 24])
+    def test_chairs_past_the_join(self, capsys, monkeypatch, n):
+        # from n = 11 on the join's half tables need 13^6 > 10^6 entries; the
+        # band walk on the chair's rows visits at most a few thousand nodes
+        monkeypatch.delenv("CHAIRCODES_BUDGET", raising=False)
+        l, k = ",".join(["7"] * n), ",".join(["4"] * n)
+        rc, out, _ = run_cli(capsys, "construct", "--l", l, "--k", k)
+        assert rc == 0
+        report = report_of(out)
+        assert report["verdicts"]["tiling"] == {"ok": True}
+        assert report["verdicts"]["splitting"] == {"ok": True, "detail": {"values": str(7**n - 4**n)}}
+        rc, out, _ = run_cli(capsys, "verify", "--l", l, "--k", k)
+        assert rc == 0
+        assert report_of(out)["verdicts"] == {"tiling": {"ok": True}}
+        m, beta = report["artifacts"]["splitting"]["m"], ",".join(report["artifacts"]["splitting"]["beta"])
+        rc, out, _ = run_cli(capsys, "verify", "--l", l, "--k", k, "--m", m, "--beta", beta)
+        assert rc == 0
+        assert report_of(out)["verdicts"] == {"splitting": {"ok": True, "detail": {"values": str(7**n - 4**n)}}}
+
+    def test_reordered_splitting_past_the_join(self, capsys, monkeypatch):
+        # k_4 = 5 shares a factor with the volume, so the splitting puts
+        # coordinate 3 first; its kernel is the lattice of the chair's rows
+        # in that order, which the band walk takes instead of a join of
+        # 89,813,529 labels per half
+        monkeypatch.delenv("CHAIRCODES_BUDGET", raising=False)
+        l, k = "5,5,7,7,5,5,5,5,5,5,5,5,5,5,7,7", "4,4,3,5,4,2,2,4,4,1,1,4,2,1,6,4"
+        rc, out, _ = run_cli(capsys, "construct", "--l", l, "--k", k)
+        assert rc == 0
+        report = report_of(out)
+        assert report["artifacts"]["splitting"]["permutation"][:2] == [3, 0]
+        assert report["verdicts"]["splitting"] == {"ok": True, "detail": {"values": report["artifacts"]["volume"]}}
+
     def test_code_out(self, capsys, tmp_path):
         path = tmp_path / "code.json"
         rc, out, _ = run_cli(capsys, "construct", "--l", "2,2,2", "--k", "1,1,1", "--code-out", str(path))

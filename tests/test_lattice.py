@@ -19,8 +19,11 @@ from chaircodes.errors import (
 from chaircodes.exactmath import IntMatrix, determinant
 from chaircodes.lattice import (
     Lattice,
+    Verdict,
+    band_walk,
     box_join,
     chair_lattice,
+    chair_rows,
     join_size,
     lattice_points_in_box,
     torus_tiling_oracle,
@@ -349,11 +352,112 @@ class TestBoxJoin:
         verdict = verify_tiling(Lattice(rows), Chair(sides, notch))
         assert verdict.reason == (reason or "") and verdict.ok == (reason is None)
 
-    def test_14d_chair_exceeds_budget(self):
-        # halves of 13^7 cells; a walk would visit about 13^13 nodes
+    def test_14d_chair_exceeds_budget(self, monkeypatch):
+        # halves of 13^7 cells and a Hermite walk of about 13^13 nodes, but
+        # the band walk on the chair's own rows visits 955
         c = Chair((7,) * 14, (4,) * 14)
-        with pytest.raises(BudgetExceeded):
+        assert verify_tiling(chair_lattice(c), c) == Verdict.passed()
+        # the sphere chair 4^14 - 3^14: a band bound of 114,682 nodes, of
+        # which the walk visits 3,141; it is charged per node visited
+        c = Chair((4,) * 14, (3,) * 14)
+        monkeypatch.setenv("CHAIRCODES_BUDGET", "3140")
+        with pytest.raises(BudgetExceeded, match="visits over 3140 nodes"):
             verify_tiling(chair_lattice(c), c)
+        monkeypatch.setenv("CHAIRCODES_BUDGET", "3141")
+        assert verify_tiling(chair_lattice(c), c) == Verdict.passed()
+
+
+def _band_cases(rng: random.Random, count: int):
+    """(kind, rows, bounds) of cyclic-bidiagonal bases for the band walk.
+
+    Kinds: chair rows with the packing bounds l_i - 1; chair rows with some
+    rows negated and random bounds; random bands whose diagonal and
+    off-diagonal entries take either sign (|d_j| > |o_j|); and integer models
+    of rational chairs with the bounds verify_packing uses.  Sides and bounds
+    are capped so that the Hermite walk of the reference stays small."""
+    caps = {2: 12, 3: 6, 4: 4, 5: 3, 6: 2}
+    kinds = ("chair", "negated", "signs", "rational")
+    for made in range(count):
+        kind = kinds[made % len(kinds)]
+        n = rng.randint(2, 6)
+        bounds = [rng.randint(0, caps[n]) for _ in range(n)]
+        if kind in ("chair", "negated"):
+            c = random_chair(rng, n, caps[n] + 1)
+            rows = chair_rows(c.int_sides(), c.int_notch())
+            if kind == "chair":
+                bounds = [l - 1 for l in c.int_sides()]
+            else:
+                rows = [[-x for x in row] if rng.random() < 0.5 else row for row in rows]
+        elif kind == "signs":
+            diag = [rng.choice([-1, 1]) * rng.randint(1, caps[n] + 1) for _ in range(n)]
+            off = [rng.choice([-1, 1]) * rng.randint(0, abs(d) - 1) for d in diag]
+            rows = [[diag[j] if i == j else off[i] if i == (j + 1) % n else 0 for i in range(n)]
+                    for j in range(n)]
+        else:
+            n = rng.randint(2, 3)
+            den = rng.choice([2, 3])
+            sides = [Fraction(rng.randint(den + 1, 3 * den), den) for _ in range(n)]
+            c = Chair(tuple(sides), tuple(Fraction(rng.randint(1, int(l * den) - 1), den) for l in sides))
+            lat = chair_lattice(c)
+            rows = lat.generator_matrix().entries if lat.is_integer else lat.integer_model().generator
+            bounds = [math.ceil(lat.scale * l) - 1 for l in c.sides]
+        yield kind, rows, bounds
+
+
+class TestBandWalk:
+    def test_matches_hnf_walk(self):
+        # the band walk, and lattice_points_in_box, give the points of the
+        # walk down the Hermite basis in the same order
+        rng = random.Random(151)
+        points = Counter()
+        cases = Counter()
+        for kind, rows, bounds in _band_cases(rng, 4000):  # 3,000 from chairs
+            lat = Lattice(rows)
+            expected = list(reference_lattice_points_in_box(lat, bounds))
+            band = band_walk(rows, bounds)
+            assert band is not None and band[0] >= 1, (kind, rows)
+            assert band[1](10**6) == expected, (kind, rows, bounds)
+            assert list(lattice_points_in_box(lat, bounds)) == expected, (kind, rows, bounds)
+            points[kind] += len(expected)
+            cases[kind, len(rows)] += 1
+        assert all(cases[kind, n] > 50 for kind in ("chair", "negated", "signs") for n in range(2, 7))
+        assert cases["rational", 2] > 400 and cases["rational", 3] > 400
+        assert min(points.values()) > 1500
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_seven_four_chairs(self, n):
+        # the reference walk takes 13^(n-1) steps, so from n = 6 on the
+        # oracle is the join, whose half tables stay within the budget to n = 9
+        c = Chair((7,) * n, (4,) * n)
+        lat = chair_lattice(c)
+        rows = lat.generator_matrix().entries
+        bounds = [6] * n
+        band = band_walk(rows, bounds)
+        oracle = reference_lattice_points_in_box(lat, bounds) if n < 6 else box_join(lat.labeling(), bounds)
+        got = band[1](10**6)
+        assert got == list(lattice_points_in_box(lat, bounds)) == list(oracle)
+        assert len(got) == 5
+
+    def test_other_bases_are_not_bands(self):
+        bounds = [3, 3, 3]
+        assert band_walk([[5]], [3]) is None
+        assert band_walk([[3, -2, 0], [0, 3, -2], [-2, 0, 3]], bounds) is not None
+        assert band_walk([[3, -2, 1], [0, 3, -2], [-2, 0, 3]], bounds) is None  # a third entry
+        assert band_walk([[3, -3, 0], [0, 3, -2], [-2, 0, 3]], bounds) is None  # |o| = |d|
+        assert band_walk([[0, -2, 0], [0, 3, -2], [-2, 0, 3]], bounds) is None  # zero diagonal
+        assert band_walk([[2, 5], [1, 6]], [3, 3]) is not None  # n = 2: each column has one o
+        assert band_walk([[2, 7], [1, 6]], [3, 3]) is None  # |o| > |d| in column 1
+
+    def test_hermite_walk_kept_within_budget(self, monkeypatch):
+        # a band bound of 262 nodes, of which the band walk visits 33, against
+        # a Hermite walk of at most 19 and half tables of 775: with a budget
+        # of 20 the Hermite walk runs, as it did before the band walk existed
+        rows, bounds = [[50, -73], [13, -100]], [4, 387]
+        lat = Lattice(rows)
+        monkeypatch.setenv("CHAIRCODES_BUDGET", "20")
+        with pytest.raises(BudgetExceeded):
+            band_walk(rows, bounds)[1](20)
+        assert list(lattice_points_in_box(lat, bounds)) == list(reference_lattice_points_in_box(lat, bounds))
 
 
 class TestVerifyPacking:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from chaircodes.chair import Chair, enumerate_points, volume
 from chaircodes.errors import BadParameters, BudgetExceeded, HypothesisViolated, NotDiscrete
 from chaircodes.exactmath import IntMatrix, determinant, hnf_residue
+from chaircodes import splitting
 from chaircodes.lattice import Lattice, SplittingSequence, Verdict, chair_lattice, verify_tiling
 from chaircodes.splitting import (
     alpha_unit,
@@ -19,7 +20,7 @@ from chaircodes.splitting import (
     verify_splitting,
 )
 
-from oracles import random_chair, reference_verify_splitting
+from oracles import random_chair, reference_lattice_points_in_box, reference_verify_splitting
 
 
 class TestSplittingSequence:
@@ -204,17 +205,22 @@ class TestVerifySplitting:
                 verify_splitting(c, SplittingSequence.cyclic(m, (1, 1)))
 
     def test_budget(self, monkeypatch):
-        # a passing check tables half-boxes of 13^4 values; a failing one
-        # enumerates all 5,699,265 chair points
+        # s has value 0 on the chair's rows and generates Z_m, so its kernel
+        # is the chair lattice: the band walk on those rows visits 195 nodes
+        # (a bound of 1,276), charged to the budget per node
         c = Chair((7,) * 8, (4,) * 8)
         s = general_chair_splitting(c)
         monkeypatch.setenv("CHAIRCODES_BUDGET", str(13**4))
         assert verify_splitting(c, s) == Verdict.passed(values=7**8 - 4**8)
+        # a wrong labelling: the join on its half-boxes of 13^4 values finds
+        # overlaps, and the scan of all 5,699,265 chair points is over budget
         wrong = SplittingSequence.cyclic(s.order, (1,) * 8)
         with pytest.raises(BudgetExceeded):
             verify_splitting(c, wrong)
-        monkeypatch.setenv("CHAIRCODES_BUDGET", str(13**4 - 1))
-        with pytest.raises(BudgetExceeded):
+        monkeypatch.setenv("CHAIRCODES_BUDGET", "195")
+        assert verify_splitting(c, s) == Verdict.passed(values=7**8 - 4**8)
+        monkeypatch.setenv("CHAIRCODES_BUDGET", "194")
+        with pytest.raises(BudgetExceeded, match="visits over 194 nodes"):
             verify_splitting(c, s)
 
     def test_long_side_enumerates(self, monkeypatch):
@@ -265,6 +271,98 @@ class TestVerifySplitting:
         assert outcomes["random beta", False, False] > outcomes["random beta", True, False] > 5
         assert outcomes["random factors", False, True] > 20
         assert outcomes["wrong order", False, False] == 120
+
+
+    def test_band_walk_matches_enumeration_reference(self, monkeypatch):
+        # full Verdict equality with the scan on labellings whose kernel is
+        # a chair lattice, which take the band walk: round trips, their
+        # residues times a unit, and constructed splittings, some with their
+        # coordinates reordered.  The controls keep every chair row in the
+        # kernel but do not generate the group: residues times a non-unit,
+        # which merge cosets and must fail
+        runs = Counter()
+        real_band_walk = splitting.band_walk
+
+        def counting_band_walk(rows, bounds):
+            band = real_band_walk(rows, bounds)
+            if band is None:
+                return None
+
+            def run(limit):
+                runs[kind, permuted] += 1
+                return band[1](limit)
+            return band[0], run
+
+        checked = []
+        real_intersect = splitting.shifted_copies_intersect
+
+        def recording_intersect(c, x):
+            checked.append(x)
+            return real_intersect(c, x)
+
+        monkeypatch.setattr(splitting, "band_walk", counting_band_walk)
+        monkeypatch.setattr(splitting, "shifted_copies_intersect", recording_intersect)
+        rng = random.Random(223)
+        outcomes = Counter()
+        for i in range(2400):
+            n = rng.randint(2, 6)
+            c = random_chair(rng, n, {2: 16, 3: 9, 4: 6, 5: 5, 6: 4}[n])
+            s = lattice_to_splitting(chair_lattice(c))
+            kind = ("round trip", "unit", "non-unit", "constructed")[i % 4]
+            factors = [j for j, d in enumerate(s.divisors) if d > 1]
+            if kind == "constructed":
+                try:
+                    s = general_chair_splitting(c)
+                except HypothesisViolated:
+                    pass
+            elif kind != "round trip" and factors:
+                j = rng.choice(factors)
+                d = s.divisors[j]
+                units = [u for u in range(1, d) if math.gcd(u, d) == 1]
+                others = [u for u in range(2, d) if math.gcd(u, d) > 1] or [0]
+                u = rng.choice(units if kind == "unit" else others)
+                residues = [tuple(b * u for b in row) if t == j else row for t, row in enumerate(s.residues)]
+                s = SplittingSequence(s.divisors, residues)
+            permuted = s.permutation != tuple(range(n))
+            walks = runs[kind, permuted]
+            checked.clear()
+            verdict = verify_splitting(c, s)
+            assert verdict == reference_verify_splitting(c, s), (kind, c, s)
+            if runs[kind, permuted] > walks and permuted:
+                # the walk's points, put back in the chair's coordinates, are
+                # the kernel's nonzero points in the box
+                box = [l - 1 for l in c.int_sides()]
+                kernel = reference_lattice_points_in_box(splitting_to_lattice(s), box)
+                assert sorted(checked) == [x for x in kernel if any(x)], (c, s)
+            outcomes[kind, verdict.ok, len(s.divisors) > 1 or permuted] += 1
+        assert sum(runs.values()) > 500 and runs["constructed", True] > 40
+        assert outcomes["non-unit", True, False] == outcomes["non-unit", True, True] == 0
+        assert outcomes["non-unit", False, False] > 250 and outcomes["non-unit", False, True] > 80
+        assert outcomes["unit", True, True] > 80 and outcomes["round trip", True, True] > 80
+        assert outcomes["constructed", True, True] > 200
+
+    def test_generates_matches_subgroup_closure(self):
+        rng = random.Random(227)
+        seen = Counter()
+        for _ in range(600):
+            divisors = tuple(rng.choice([1, 2, 3, 4, 6, 8, 9]) for _ in range(rng.randint(1, 3)))
+            n = rng.randint(1, 3)
+            residues = tuple(tuple(rng.randrange(d) for _ in range(n)) for d in divisors)
+            s = SplittingSequence(divisors, residues)
+            gens = list(zip(*residues))
+            reached = {(0,) * len(divisors)}
+            frontier = list(reached)
+            while frontier:
+                g = frontier.pop()
+                for e in gens:
+                    h = tuple((a + b) % d for a, b, d in zip(g, e, divisors))
+                    if h not in reached:
+                        reached.add(h)
+                        frontier.append(h)
+            expected = len(reached) == s.order
+            assert splitting._generates(s) == expected, s
+            seen[expected, len(divisors)] += 1
+        assert all(seen[ok, k] > 10 for ok in (True, False) for k in (2, 3))
 
 
 class TestSplittingToLattice:
