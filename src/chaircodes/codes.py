@@ -85,9 +85,9 @@ class ErrorSphere:
                 "magnitudes": [str(m) for m in self.magnitudes]}
 
 
-def enumerate_sphere(s: ErrorSphere, budget: int | None = None) -> list[tuple[int, ...]]:
+def enumerate_sphere(s: ErrorSphere) -> list[tuple[int, ...]]:
     """All error vectors of the sphere in lexicographic order."""
-    check_budget(s.size, budget, "sphere enumeration")
+    check_budget(s.size, None, "sphere enumeration")
     out: list[tuple[int, ...]] = []
     point = [0] * s.n
 
@@ -212,7 +212,7 @@ def decode(code: LatticeCode, received: Sequence[int]) -> tuple[tuple[int, ...],
 class SearchVerdict:
     """Result of a nonexistence test or an exhaustive perfect-code search."""
 
-    status: str  # "NoPerfectCode" | "Inconclusive" | "Found"
+    status: str  # "NoPerfectCode" | "Found"
     examined: int = 0
     found: tuple[IntMatrix, ...] = ()
     detail: tuple[tuple[str, str], ...] = ()
@@ -227,12 +227,17 @@ class SearchVerdict:
 
 
 def nonexistence_divisibility_check(n: int, ell: int) -> SearchVerdict:
-    """Necessary-condition test for perfect codes at t = n-2.
+    """Necessary-condition test for perfect codes at t = n-2; the verdict is
+    always NoPerfectCode.
 
     A perfect code forces the sphere size to divide
     (ell+1)^(n-2) * (ell+1 + lam*(n-2-ell)) for some 0 <= lam <= ell; when no
     candidate works the code cannot exist.  For ell >= 2 the short-vector
-    argument rules the codes out even when some candidate divides.
+    argument rules the codes out even when some candidate divides.  For
+    ell = 1 no candidate divides s = 2^n - n - 1: 2^(n-1) is below s, and for
+    (n-1) * 2^(n-2), s is odd and above n - 1 when n is even, while for odd
+    n the 2-part of s is that of n + 1, so the odd part of s is at least
+    s / (n+1), above n - 1 once 2^n > n(n+1) (n = 5: s = 26, odd part 13).
     """
     n, ell = as_int(n, "n"), as_int(ell, "ell")
     if n < 4:
@@ -241,22 +246,15 @@ def nonexistence_divisibility_check(n: int, ell: int) -> SearchVerdict:
         raise BadParameters(f"need ell >= 1, got {ell}")
     s = sphere_size(n, n - 2, ell)
     candidates = [(ell + 1) ** (n - 2) * (ell + 1 + lam * (n - 2 - ell)) for lam in range(ell + 1)]
-    divisible = [c for c in candidates if c % s == 0]
     detail: dict[str, object] = {
         "sphere_size": s,
         "candidates": ",".join(str(c) for c in candidates),
+        "path": "short-vector" if any(c % s == 0 for c in candidates) else "divisibility",
     }
-    if not divisible:
-        detail["path"] = "divisibility"
-        if ell == 1 and n >= 7:
-            # growth bound confirming the lam = 1 candidate can never divide
-            detail["bound_2^n_gt_2n(n+1)"] = 2**n > 2 * n * (n + 1)
-        return SearchVerdict("NoPerfectCode", detail=_sorted_detail(detail))
-    if ell >= 2:
-        detail["path"] = "short-vector"
-        return SearchVerdict("NoPerfectCode", detail=_sorted_detail(detail))
-    detail["path"] = "divisibility"
-    return SearchVerdict("Inconclusive", detail=_sorted_detail(detail))
+    if ell == 1 and n >= 7:
+        # growth bound confirming the lam = 1 candidate can never divide
+        detail["bound_2^n_gt_2n(n+1)"] = 2**n > 2 * n * (n + 1)
+    return SearchVerdict("NoPerfectCode", detail=_sorted_detail(detail))
 
 
 def _sorted_detail(detail: dict[str, object]) -> tuple[tuple[str, str], ...]:

@@ -53,9 +53,5 @@ class NotATiling(ChairCodesError):
     """Coloring requested from a lattice that does not tile the chair."""
 
 
-class BadModulus(ChairCodesError):
-    """Torus modulus m does not satisfy m*e_i in the lattice for all i."""
-
-
 class BadParameters(ChairCodesError, ValueError):
     """Arguments outside an operation's documented domain."""

@@ -10,7 +10,9 @@ SplittingSequence: the labels of the unit vectors in Z_d1 + ... + Z_dk.
 Lattice points in a box are found by the smallest of three exact searches
 for the lattice and box at hand: a walk on the generator itself when it is
 a cyclic band like the chair's, a walk down the Hermite basis, or, as the
-points of label zero, a join of the labels of two half-boxes.
+points of label zero, a join of the labels of two half-boxes.  The torus
+oracle, an independent tiling check, reads the chair points' Hermite
+residues.
 A rational lattice L is handled through its integer model sL, s being the
 least integer with sL inside Z^n.
 """
@@ -23,13 +25,12 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import exactmath
 from .budget import as_int, check_budget, resolve_budget
 from .chair import Chair, Scalar, as_exact, enumerate_points, shifted_copies_intersect, volume
 from .errors import (
-    BadModulus,
     BadParameters,
     BudgetExceeded,
     DimensionMismatch,
@@ -137,20 +138,6 @@ class SplittingSequence:
                 col = [(g + t) % d for g in col for t in steps]
             cols.append(col)
         return cols
-
-    def grid_rows(self, ranges: Sequence[range], row: Callable[[list[tuple[int, ...]]], object]) -> list:
-        """row(the values of a row's cells) for each row of the grid
-        product(*ranges), in order.  Along a row the values are g + x*value(e_n),
-        g the value at x = 0, so the rows that share g share one call."""
-        firsts = self.box_values(ranges[:-1])
-        gs = list(zip(*firsts)) if firsts else [()] * math.prod(map(len, ranges[:-1]))
-        steps = [[x * r[-1] for x in ranges[-1]] for r in self.residues]
-        rows: dict[tuple[int, ...], object] = {}
-        for g in gs:
-            if g not in rows:
-                values = zip(*[[(a + s) % d for s in st] for a, st, d in zip(g, steps, self.divisors)])
-                rows[g] = row(list(values) or [()] * len(ranges[-1]))
-        return [rows[g] for g in gs]
 
     def to_json_dict(self) -> dict:
         """The m/beta/permutation form; only a one-factor group has one."""
@@ -538,78 +525,19 @@ def verify_tiling(lat: Lattice, c: Chair) -> Verdict:
     return Verdict.passed()
 
 
-class PaddedGrid:
-    """The grid [0,q)^n as the bits of one int, the first cell in row-major
-    order the most significant, so a mask shifted right by a chair point e's
-    flat offset moves each cell p to p + e.  An anchor p sees the cells
-    p - e.  With wrap, axis i is extended periodically by l_i - 1 cells below
-    and every grid cell is an anchor; without, the cells with p_i >= l_i - 1
-    are, and there are none when some l_i > q.
-    """
-
-    def __init__(self, c: Chair, q: int, wrap: bool):
-        sides = c.int_sides()
-        self.q = q
-        self.pads = [l - 1 if wrap else 0 for l in sides]
-        self.dims = [q + pad for pad in self.pads]
-        self.strides = [math.prod(self.dims[i + 1:]) for i in range(c.n)]
-        self.offsets = [sum(map(operator.mul, e, self.strides)) for e in enumerate_points(c)]
-        bits = b"1"
-        for d, l in zip(reversed(self.dims), reversed(sides)):
-            bits = b"0" * (len(bits) * (l - 1)) + bits * (d - l + 1)
-        self.anchors = int(bits or b"0", 2)  # no anchors when the chair does not fit
-
-    def masks(self, grid: bytes, codes: Iterable[int]) -> Iterator[int]:
-        """The cells holding each code in a byte per cell of [0,q)^n,
-        row-major, once the grid is extended periodically."""
-        for stride, pad in zip(reversed(self.strides), reversed(self.pads)):  # stride: later axes, extended
-            width, copies = self.q * stride, -(-pad // self.q)
-            cut = (copies * self.q - pad) * stride
-            grid = b"".join([(grid[i:i + width] * (copies + 1))[cut:] for i in range(0, len(grid), width)])
-        for code in codes:
-            yield int(grid.translate(b"0" * code + b"1" + b"0" * (255 - code)), 2)
-
-    def reach(self, mask: int) -> int:
-        """The cells that see a cell of mask."""
-        out = 0
-        for off in self.offsets:
-            out |= mask >> off
-        return out
-
-    def misses(self, masks: Iterable[int], target: int) -> int:
-        """Sum 0/1 masks in a bit-sliced counter, bit j of each cell's count in
-        planes[j]; return the anchors whose count is not target."""
-        planes: list[int] = []
-        for carry in masks:
-            for j, plane in enumerate(planes):
-                planes[j] = plane ^ carry
-                carry &= plane
-            if carry:
-                planes.append(carry)
-        exact = self.anchors if target < 1 << len(planes) else 0
-        for j, plane in enumerate(planes):
-            exact &= plane if target >> j & 1 else ~plane
-        return self.anchors ^ exact
-
-    def cell(self, mask: int) -> tuple[int, ...]:
-        """Grid coordinates of the first cell of a nonzero mask."""
-        flat = math.prod(self.dims) - mask.bit_length()
-        return tuple(flat // s % d - pad for s, d, pad in zip(self.strides, self.dims, self.pads))
-
-
-def torus_tiling_oracle(lat: Lattice, c: Chair, m: int | None = None) -> Verdict:
+def torus_tiling_oracle(lat: Lattice, c: Chair) -> Verdict:
     """Independent tiling check: place chair copies at every lattice point of
-    the torus (Z/m)^n and count how often each cell is covered.
+    the torus (Z/m)^n, m the lattice volume, and count how often each cell is
+    covered.
 
-    Requires m*e_i to be a lattice member for all i (the default m = lattice
-    volume always qualifies); the cell count m^n is capped by the budget.
     Since mZ^n lies in the lattice, a cell y is covered once for each chair
     point e with y - e in the lattice, so the count is constant on cosets and
-    is read off the Hermite residues of the chair points.  A coset's residue
-    r, 0 <= r_i < h_ii, is its lexicographically least cell with nonnegative
-    coordinates, and h_ii divides m, so r is also its first cell of [0,m)^n:
-    the first bad cell is the least residue hit twice or the first residue
-    hit by no chair point, whichever comes first.
+    is read off the Hermite residues of the chair points, the only items
+    charged to the budget.  A coset's residue r, 0 <= r_i < h_ii, is its
+    lexicographically least cell with nonnegative coordinates, and h_ii
+    divides m, so r is also its first cell of [0,m)^n: the first bad cell is
+    the least residue hit twice or the first residue hit by no chair point,
+    whichever comes first.
     """
     if lat.n != c.n:
         raise DimensionMismatch(f"lattice is {lat.n}-dimensional, chair is {c.n}-dimensional")
@@ -617,14 +545,8 @@ def torus_tiling_oracle(lat: Lattice, c: Chair, m: int | None = None) -> Verdict
         raise NotDiscrete("torus oracle needs a discrete chair")
     if not lat.is_integer:
         raise NonIntegerLattice("torus oracle needs an integer lattice")
-    vol = int(lat.volume)
-    m = vol if m is None else as_int(m, "the torus modulus")
-    if m < 1:
-        raise BadModulus(f"torus modulus must be >= 1, got {m}")
-    if not lat.wraps(m):
-        raise BadModulus(f"{m}*e_i is not a lattice point for some axis i")
+    m = int(lat.volume)
     cells = m**lat.n
-    check_budget(cells, None, "torus grid")
     h = lat.canonical().entries
     hits = Counter(exactmath.hnf_residue(h, e) for e in enumerate_points(c))
     bad = [(r, "doubly covered") for r, k in hits.items() if k > 1]
@@ -634,5 +556,5 @@ def torus_tiling_oracle(lat: Lattice, c: Chair, m: int | None = None) -> Verdict
             break
     if bad:
         cell, kind = min(bad)
-        return Verdict.failed(f"torus cell {kind}", cell, copies=cells // vol, cells=cells)
-    return Verdict.passed(copies=cells // vol, cells=cells)
+        return Verdict.failed(f"torus cell {kind}", cell, copies=cells // m, cells=cells)
+    return Verdict.passed(copies=cells // m, cells=cells)

@@ -34,14 +34,12 @@ def alpha_unit(n: int, ell: int) -> int:
 
 def uniform_chair_splitting(n: int, ell: int) -> SplittingSequence:
     """Splitting of Z_{l^n - (l-1)^n} by the chair with all sides l and all
-    notch sides l-1: successive powers of the order-n unit."""
+    notch sides l-1: successive powers of the order-n unit alpha_unit.  l-1
+    is a unit, so general_chair_splitting reorders nothing."""
     n, ell = as_int(n, "n"), as_int(ell, "ell")
-    a = alpha_unit(n, ell)  # refuses n < 2 and ell < 2
-    m = ell**n - (ell - 1) ** n
-    beta = [1]
-    for _ in range(n - 1):
-        beta.append(beta[-1] * a % m)
-    return SplittingSequence.cyclic(m, beta)
+    if n < 2 or ell < 2:
+        raise BadParameters(f"need n >= 2 and ell >= 2, got n={n}, ell={ell}")
+    return general_chair_splitting(Chair((ell,) * n, (ell - 1,) * n))
 
 
 def general_chair_splitting(c: Chair) -> SplittingSequence:

@@ -8,15 +8,17 @@ exactly once, which is what a rewrite strategy needs.
 
 from __future__ import annotations
 
+import math
+import operator
 import struct
 from dataclasses import dataclass
 from itertools import chain, product, repeat
-from typing import IO, Iterator, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from .budget import as_int, check_budget
 from .chair import Chair, enumerate_points, volume
 from .errors import BadParameters, NotATiling
-from .lattice import Lattice, PaddedGrid, Verdict
+from .lattice import Lattice, SplittingSequence, Verdict
 
 
 @dataclass(eq=False)
@@ -58,8 +60,83 @@ def build_coloring(lat: Lattice, c: Chair, q: int) -> Coloring:
     if len(index) != vol:
         raise NotATiling(f"the chair's {vol} points fall in only {len(index)} cosets")
     check_budget(q**c.n, None, "coloring grid")
-    rows = lat.labeling().grid_rows([range(q)] * c.n, lambda gs: [index[g] for g in gs])
+    rows = _grid_rows(lat.labeling(), [range(q)] * c.n, lambda gs: [index[g] for g in gs])
     return Coloring(q, c.n, len(index), tuple(chain.from_iterable(rows)), lat, c)
+
+
+def _grid_rows(s: SplittingSequence, ranges: Sequence[range],
+               row: Callable[[list[tuple[int, ...]]], object]) -> list:
+    """row(the values of a row's cells) for each row of the grid
+    product(*ranges), in order.  Along a row the values are g + x*value(e_n),
+    g the value at x = 0, so the rows that share g share one call."""
+    firsts = s.box_values(ranges[:-1])
+    gs = list(zip(*firsts)) if firsts else [()] * math.prod(map(len, ranges[:-1]))
+    steps = [[x * r[-1] for x in ranges[-1]] for r in s.residues]
+    rows: dict[tuple[int, ...], object] = {}
+    for g in gs:
+        if g not in rows:
+            values = zip(*[[(a + t) % d for t in st] for a, st, d in zip(g, steps, s.divisors)])
+            rows[g] = row(list(values) or [()] * len(ranges[-1]))
+    return [rows[g] for g in gs]
+
+
+class PaddedGrid:
+    """The grid [0,q)^n as the bits of one int, the first cell in row-major
+    order the most significant, so a mask shifted right by a chair point e's
+    flat offset moves each cell p to p + e.  An anchor p sees the cells
+    p - e.  With wrap, axis i is extended periodically by l_i - 1 cells below
+    and every grid cell is an anchor; without, the cells with p_i >= l_i - 1
+    are, and there are none when some l_i > q.
+    """
+
+    def __init__(self, c: Chair, q: int, wrap: bool):
+        sides = c.int_sides()
+        self.q = q
+        self.pads = [l - 1 if wrap else 0 for l in sides]
+        self.dims = [q + pad for pad in self.pads]
+        self.strides = [math.prod(self.dims[i + 1:]) for i in range(c.n)]
+        self.offsets = [sum(map(operator.mul, e, self.strides)) for e in enumerate_points(c)]
+        bits = b"1"
+        for d, l in zip(reversed(self.dims), reversed(sides)):
+            bits = b"0" * (len(bits) * (l - 1)) + bits * (d - l + 1)
+        self.anchors = int(bits or b"0", 2)  # no anchors when the chair does not fit
+
+    def masks(self, grid: bytes, codes: Iterable[int]) -> Iterator[int]:
+        """The cells holding each code in a byte per cell of [0,q)^n,
+        row-major, once the grid is extended periodically."""
+        for stride, pad in zip(reversed(self.strides), reversed(self.pads)):  # stride: later axes, extended
+            width, copies = self.q * stride, -(-pad // self.q)
+            cut = (copies * self.q - pad) * stride
+            grid = b"".join([(grid[i:i + width] * (copies + 1))[cut:] for i in range(0, len(grid), width)])
+        for code in codes:
+            yield int(grid.translate(b"0" * code + b"1" + b"0" * (255 - code)), 2)
+
+    def reach(self, mask: int) -> int:
+        """The cells that see a cell of mask."""
+        out = 0
+        for off in self.offsets:
+            out |= mask >> off
+        return out
+
+    def misses(self, masks: Iterable[int], target: int) -> int:
+        """Sum 0/1 masks in a bit-sliced counter, bit j of each cell's count in
+        planes[j]; return the anchors whose count is not target."""
+        planes: list[int] = []
+        for carry in masks:
+            for j, plane in enumerate(planes):
+                planes[j] = plane ^ carry
+                carry &= plane
+            if carry:
+                planes.append(carry)
+        exact = self.anchors if target < 1 << len(planes) else 0
+        for j, plane in enumerate(planes):
+            exact &= plane if target >> j & 1 else ~plane
+        return self.anchors ^ exact
+
+    def cell(self, mask: int) -> tuple[int, ...]:
+        """Grid coordinates of the first cell of a nonzero mask."""
+        flat = math.prod(self.dims) - mask.bit_length()
+        return tuple(flat // s % d - pad for s, d, pad in zip(self.strides, self.dims, self.pads))
 
 
 def check_write_guarantee(col: Coloring, c: Chair) -> Verdict:

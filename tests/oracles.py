@@ -25,7 +25,6 @@ from chaircodes.codes import (
     sphere_size,
 )
 from chaircodes.errors import (
-    BadModulus,
     BadParameters,
     BudgetExceeded,
     DimensionMismatch,
@@ -145,7 +144,8 @@ def reference_hnf_search(n: int, t: int, ell: int, budget: int | None = None) ->
     column search must agree with."""
     s = sphere_size(n, t, ell)
     check_budget(_index_sublattice_count(n, s), budget, "sublattice search")
-    sphere_pts = enumerate_sphere(ErrorSphere.uniform(n, t, ell), budget)
+    check_budget(s, budget, "sphere enumeration")
+    sphere_pts = enumerate_sphere(ErrorSphere.uniform(n, t, ell))
     found: list[IntMatrix] = []
     examined = 0
     for h in hnf_candidates(n, s):
@@ -197,7 +197,8 @@ def reference_column_search(n: int, t: int, ell: int, budget: int | None = None)
         raise BadParameters(f"need n >= 1, got {n}")
     examined = _index_sublattice_count(n, s)
     check_budget(examined, budget, "sublattice search")
-    pts = enumerate_sphere(ErrorSphere.uniform(n, t, ell), budget)
+    check_budget(s, budget, "sphere enumeration")
+    pts = enumerate_sphere(ErrorSphere.uniform(n, t, ell))
     found: list[IntMatrix] = []
     for diag in _ordered_factorizations(s, n):
         h = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
@@ -400,28 +401,23 @@ def reference_check_write_guarantee(col: Coloring, c: Chair) -> Verdict:
     return Verdict.passed(mode=mode, anchors=anchors)
 
 
-def reference_torus_tiling_oracle(lat: Lattice, c: Chair, m: int | None = None,
-                                  budget: int | None = None) -> Verdict:
-    """The torus cover count on int64 arrays: every lattice point of (Z/m)^n
-    plus every chair point, reduced modulo m, adds one to its cell with
-    np.add.at.  Anchor rows go in chunks so the largest temporary stays
-    under 4 MiB; grids past the int64-exact bounds raise BudgetExceeded."""
+def reference_torus_tiling_oracle(lat: Lattice, c: Chair) -> Verdict:
+    """The torus cover count on int64 arrays: every lattice point of (Z/m)^n,
+    m the lattice volume, plus every chair point, reduced modulo m, adds one
+    to its cell with np.add.at.  Anchor rows go in chunks so the largest
+    temporary stays under 4 MiB; the m^n grid is charged to the budget, and
+    grids past the int64-exact bounds raise BudgetExceeded."""
     if lat.n != c.n:
         raise DimensionMismatch(f"lattice is {lat.n}-dimensional, chair is {c.n}-dimensional")
     if not c.is_discrete:
         raise NotDiscrete("torus oracle needs a discrete chair")
     if not lat.is_integer:
         raise NonIntegerLattice("torus oracle needs an integer lattice")
-    vol = int(lat.volume)
-    m = vol if m is None else int(m)
-    if m < 1:
-        raise BadModulus(f"torus modulus must be >= 1, got {m}")
-    if not lat.wraps(m):
-        raise BadModulus(f"{m}*e_i is not a lattice point for some axis i")
+    m = int(lat.volume)
     n = lat.n
     h = lat.canonical().entries
     cells = m**n
-    check_budget(cells, budget, "torus grid")
+    check_budget(cells, None, "torus grid")
     if m > 2**25 or cells >= 2**62:
         raise BudgetExceeded(f"torus grid with m={m} exceeds exact int64 indexing")
     ranges = [m // h[i][i] for i in range(n)]

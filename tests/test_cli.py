@@ -426,7 +426,7 @@ class TestExitCodes:
         assert json.loads(capsys.readouterr().err)["error"]["type"] == cls.__name__
 
     def test_all_errors_listed(self):
-        assert len(self.ERRORS) == 13
+        assert len(self.ERRORS) == 12
 
 
 class TestSubprocessEntry:

@@ -82,9 +82,10 @@ class TestEnumerateSphere:
         with pytest.raises(BadParameters):
             ErrorSphere(3, 1, (2, 1, 1))
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
+        monkeypatch.setenv("CHAIRCODES_BUDGET", "100")
         with pytest.raises(BudgetExceeded):
-            enumerate_sphere(ErrorSphere.uniform(8, 8, 9), budget=100)
+            enumerate_sphere(ErrorSphere.uniform(8, 8, 9))
 
     @pytest.mark.parametrize("args, field", [
         ((3, 2, ("2", 2.5, 2)), "a magnitude"),
@@ -136,6 +137,19 @@ class TestPerfectCode:
         data["generator"] = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
         with pytest.raises(BadParameters):
             LatticeCode.from_json_dict(data)
+
+    def test_chair_lattice_fallback(self):
+        # every notch side of (3,3,4)/(2,2,3) shares a factor with the volume
+        # 24, so general_chair_splitting refuses and the chair lattice serves
+        code = perfect_code(3, (2, 2, 3))
+        assert code.perfect
+        assert code.lattice.generator == chair_lattice(Chair((3, 3, 4), (2, 2, 3))).generator
+        assert len(code.decode_table) == code.lattice.volume == 24
+        gen = code.lattice.generator
+        for coeffs in [(0, 0, 0), (1, -2, 3), (-4, 1, 2)]:
+            x = tuple(sum(c * row[i] for c, row in zip(coeffs, gen)) for i in range(3))
+            for e in enumerate_sphere(code.sphere):
+                assert decode(code, tuple(a + b for a, b in zip(x, e))) == (x, e)
 
     def test_wraps_alphabet(self):
         # q Z^n lies in the lattice exactly when q is a multiple of the
@@ -212,13 +226,21 @@ class TestDivisibilityCheck:
         assert ("sphere_size", "26") in verdict.detail
 
     def test_magnitude_two_and_up(self):
-        for n in range(4, 12):
-            for ell in range(2, 5):
+        for n in range(4, 60):
+            for ell in range(2, 30):
                 assert nonexistence_divisibility_check(n, ell).status == "NoPerfectCode"
 
     def test_magnitude_one_up_to_twenty(self):
         for n in range(4, 21):
             assert nonexistence_divisibility_check(n, 1).status == "NoPerfectCode"
+
+    def test_no_candidate_divides_at_magnitude_one(self):
+        # s = 2^n - n - 1 divides neither 2^(n-1) nor (n-1) 2^(n-2), so the
+        # divisibility path alone decides every ell = 1 case
+        for n in range(4, 401):
+            verdict = nonexistence_divisibility_check(n, 1)
+            assert verdict.status == "NoPerfectCode"
+            assert ("path", "divisibility") in verdict.detail, n
 
     def test_domain(self):
         with pytest.raises(BadParameters):

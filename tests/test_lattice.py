@@ -1,7 +1,9 @@
 import math
+import os
 import random
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -9,7 +11,6 @@ from hypothesis import strategies as st
 
 from chaircodes.chair import Chair, enumerate_points, volume
 from chaircodes.errors import (
-    BadModulus,
     BudgetExceeded,
     DimensionMismatch,
     NonIntegerLattice,
@@ -523,34 +524,32 @@ class TestVerifyTiling:
 class TestTorusOracle:
     def test_small_square(self):
         c = Chair((2, 2), (1, 1))
-        verdict = torus_tiling_oracle(chair_lattice(c), c, 3)
+        verdict = torus_tiling_oracle(chair_lattice(c), c)
         assert verdict.ok
         assert ("cells", "9") in verdict.detail
         assert ("copies", "3") in verdict.detail
 
     def test_cube(self):
         c = Chair((2, 2, 2), (1, 1, 1))
-        verdict = torus_tiling_oracle(chair_lattice(c), c, 7)
+        verdict = torus_tiling_oracle(chair_lattice(c), c)
         assert verdict.ok
         assert ("cells", "343") in verdict.detail
         assert ("copies", "49") in verdict.detail
 
     def test_non_packing_fails(self):
         c = Chair((2, 2), (1, 1))
-        verdict = torus_tiling_oracle(Lattice([[1, 0], [0, 3]]), c, 3)
+        verdict = torus_tiling_oracle(Lattice([[1, 0], [0, 3]]), c)
         assert not verdict.ok
         assert "covered" in verdict.reason
 
-    def test_bad_modulus(self):
-        c = Chair((3, 3), (2, 2))
-        with pytest.raises(BadModulus):
-            torus_tiling_oracle(chair_lattice(c), c, 2)
-
     def test_budget(self, monkeypatch):
+        # only the chair's 5^3 - 4^3 = 61 points are charged, not the 61^3 cells
         c = Chair((5, 5, 5), (4, 4, 4))
-        monkeypatch.setenv("CHAIRCODES_BUDGET", "100")
+        monkeypatch.setenv("CHAIRCODES_BUDGET", "60")
         with pytest.raises(BudgetExceeded):
             torus_tiling_oracle(chair_lattice(c), c)
+        monkeypatch.setenv("CHAIRCODES_BUDGET", "61")
+        assert torus_tiling_oracle(chair_lattice(c), c).ok
 
     def test_needs_discrete_chair(self):
         c = Chair((Fraction(5, 2), Fraction(3, 2)), (Fraction(3, 2), Fraction(1, 2)))
@@ -564,16 +563,14 @@ class TestTorusOracle:
         for lat, c in zip(cases, chairs):
             if lat.n != c.n:
                 continue
-            m = int(lat.volume)
-            if m ** c.n > 10**5:
-                continue
             tiling = verify_tiling(lat, c)
-            torus = torus_tiling_oracle(lat, c, m)
+            torus = torus_tiling_oracle(lat, c)
             assert tiling.ok == torus.ok
 
     def test_matches_numpy_reference(self, monkeypatch):
-        # full Verdict equality, witness and details included, and the same
-        # errors, against the int64 cover count the bit-parallel pass replaced
+        # full Verdict equality, witness and details included, against the
+        # int64 cover count on the m^n grid; under a budget the library
+        # raises exactly when the chair's volume exceeds it
         rng = random.Random(53)
         outcomes = Counter()
         for case in range(600):
@@ -588,39 +585,31 @@ class TestTorusOracle:
                     lat = Lattice(rows)
                 except SingularMatrix:
                     continue
-                exponent = max(lat.labeling().divisors, default=1)
-                if rng.random() < 0.9:
-                    m = exponent * rng.choice((1, 1, 2, 3))
-                else:
-                    m = rng.randint(0, 3 * exponent)
-                if m**n <= (10**5 if n == 4 else 5000):
+                if lat.volume**n <= (10**5 if n == 4 else 5000):
                     break
-            budget = max(1, m**n - 1) if rng.random() < 0.05 else None
-            if budget is None:
-                monkeypatch.delenv("CHAIRCODES_BUDGET", raising=False)
-            else:
+            monkeypatch.delenv("CHAIRCODES_BUDGET", raising=False)
+            expected = reference_torus_tiling_oracle(lat, c)
+            budget = max(1, volume(c) + rng.choice((-1, 0))) if rng.random() < 0.05 else None
+            if budget is not None:
                 monkeypatch.setenv("CHAIRCODES_BUDGET", str(budget))
-            got = []
-            for oracle in (torus_tiling_oracle, reference_torus_tiling_oracle):
-                try:
-                    got.append(oracle(lat, c, m))
-                except (BadModulus, BudgetExceeded) as exc:
-                    got.append(type(exc).__name__)
-            assert got[0] == got[1], (rows, c.sides, c.notch, m, budget)
-            verdict = got[0]
-            outcomes[verdict if isinstance(verdict, str) else verdict.reason or "ok"] += 1
-            outcomes["m != volume"] += m != lat.volume
-        for kind in ("ok", "torus cell uncovered", "torus cell doubly covered", "m != volume"):
+            try:
+                got = torus_tiling_oracle(lat, c)
+            except BudgetExceeded:
+                got = "BudgetExceeded"
+            over = budget is not None and volume(c) > budget
+            assert got == ("BudgetExceeded" if over else expected), (rows, c.sides, c.notch, budget)
+            outcomes[got if over else got.reason or "ok"] += 1
+        for kind in ("ok", "torus cell uncovered", "torus cell doubly covered"):
             assert outcomes[kind] >= 50, outcomes
-        assert min(outcomes["BadModulus"], outcomes["BudgetExceeded"]) > 0, outcomes
+        assert outcomes["BudgetExceeded"] > 0, outcomes
 
 
 @st.composite
 def torus_cases(draw):
-    """(lattice, chair, m): a chair lattice, perhaps with one entry moved by
-    one; its own chair, another chair, or its own chair with one side
-    stretched past m; and m a multiple of the quotient's exponent (always a
-    torus modulus) or any integer up to twice the exponent."""
+    """(lattice, chair, budget): a chair lattice, perhaps with one entry moved
+    by one; its own chair, another chair, or its own chair with one side
+    stretched past the lattice volume; and no budget or one next to the
+    chair's volume."""
     n = draw(st.integers(1, 4))
     top = (9, 6, 3, 2)[n - 1]
 
@@ -634,15 +623,15 @@ def torus_cases(draw):
     rows[i][j] += draw(st.sampled_from((0, 0, -1, 1)))
     assume(determinant(IntMatrix(tuple(map(tuple, rows)))) != 0)
     lat = Lattice(rows)
-    exponent = max(lat.labeling().divisors, default=1)
-    m = draw(st.one_of(st.integers(1, 3).map(lambda k: k * exponent), st.integers(0, 2 * exponent)))
-    assume(m**n <= 60_000)
+    assume(lat.volume**n <= 60_000)
     kind = draw(st.sampled_from(("own", "other", "long side")))
     if kind == "other":
         sides, notch = chair()
     elif kind == "long side":
-        sides = sides[:i] + (sides[i] + max(m, 1),) + sides[i + 1:]
-    return lat, Chair(sides, notch), m
+        sides = sides[:i] + (sides[i] + lat.volume,) + sides[i + 1:]
+    c = Chair(sides, notch)
+    budget = draw(st.one_of(st.none(), st.integers(-1, 0).map(lambda k: max(1, volume(c) + k))))
+    return lat, c, budget
 
 
 class TestTorusOracleProperty:
@@ -650,20 +639,24 @@ class TestTorusOracleProperty:
     @given(torus_cases())
     # the first bad cell is an uncovered one before any doubly covered one,
     # and the least doubly covered cell is not the first chair point's
-    @example((Lattice([[3, -1, 0], [0, 2, -2], [-2, 0, 3]]), Chair((2, 2, 4), (1, 1, 3)), 14))
+    @example((Lattice([[3, -1, 0], [0, 2, -2], [-2, 0, 3]]), Chair((2, 2, 4), (1, 1, 3)), None))
     @example((Lattice([[2, -2, 0, 0], [0, 3, -1, 0], [-2, 0, 2, -2], [-1, 0, 0, 3]]),
-              Chair((3, 2, 2, 2), (1, 1, 1, 1)), 10))
+              Chair((3, 2, 2, 2), (1, 1, 1, 1)), None))
     def test_matches_numpy_reference(self, case):
-        # full Verdict equality, witness and details included, or the same
-        # error; the cover count on the m^n grid is the reference
-        lat, c, m = case
-        got = []
-        for oracle in (torus_tiling_oracle, reference_torus_tiling_oracle):
-            try:
-                got.append(oracle(lat, c, m))
-            except BadModulus as exc:
-                got.append(str(exc))
-        assert got[0] == got[1]
+        # full Verdict equality, witness and details included, against the
+        # cover count on the m^n grid, or BudgetExceeded exactly when the
+        # chair's volume exceeds the budget
+        lat, c, budget = case
+        with mock.patch.dict(os.environ):
+            os.environ.pop("CHAIRCODES_BUDGET", None)
+            expected = reference_torus_tiling_oracle(lat, c)
+            if budget is not None:
+                os.environ["CHAIRCODES_BUDGET"] = str(budget)
+            if budget is not None and volume(c) > budget:
+                with pytest.raises(BudgetExceeded):
+                    torus_tiling_oracle(lat, c)
+            else:
+                assert torus_tiling_oracle(lat, c) == expected
 
 
 class TestExhaustiveSmallGrid:

@@ -22,12 +22,12 @@ from chaircodes.codes import (
     sphere_size,
 )
 from chaircodes.errors import BadParameters
-from chaircodes.lattice import SplittingSequence, chair_lattice, lattice_points_in_box, torus_tiling_oracle
+from chaircodes.lattice import SplittingSequence, chair_lattice, lattice_points_in_box
 from chaircodes.splitting import alpha_unit, uniform_chair_splitting
 from chaircodes.wom import build_coloring
 
 CODE = perfect_code(3, (1, 1, 1))
-SQUARE = Chair((3, 3), (2, 2))  # volume 5, so m = 5 is a torus modulus
+SQUARE = Chair((3, 3), (2, 2))
 SQUARE_LATTICE = chair_lattice(SQUARE)
 
 
@@ -61,9 +61,6 @@ REFUSED = {
     "box bounds [2.9, 0.5]": lambda: lattice_points_in_box(SQUARE_LATTICE, [2.9, 0.5]),
     "box bounds bool": lambda: lattice_points_in_box(SQUARE_LATTICE, [True, 1]),
     "box bounds text": lambda: lattice_points_in_box(SQUARE_LATTICE, ["2", 1]),
-    "torus m=5.7": lambda: torus_tiling_oracle(SQUARE_LATTICE, SQUARE, 5.7),
-    "torus m bool": lambda: torus_tiling_oracle(SQUARE_LATTICE, SQUARE, True),
-    "torus m text": lambda: torus_tiling_oracle(SQUARE_LATTICE, SQUARE, "5"),
     "resolve_budget(True)": lambda: resolve_budget(True),
     "resolve_budget float": lambda: resolve_budget(12.0),
     "resolve_budget text": lambda: resolve_budget("1_0"),
@@ -179,7 +176,6 @@ def test_accepted(integer):
     assert SplittingSequence.cyclic(integer(7), word, tuple(map(integer, (2, 0, 1)))).permutation == (2, 0, 1)
     assert ErrorSphere(integer(2), integer(1), (integer(1), integer(2))) == ErrorSphere(2, 1, (1, 2))
     assert list(lattice_points_in_box(SQUARE_LATTICE, [integer(2), integer(2)])) == [(k, k) for k in range(-2, 3)]
-    assert torus_tiling_oracle(SQUARE_LATTICE, SQUARE, integer(5)).ok
     assert resolve_budget(integer(12)) == 12
     assert sphere_size(integer(3), integer(1), integer(2)) == 7
     assert nonexistence_divisibility_check(integer(4), integer(1)).status == "NoPerfectCode"
