@@ -9,11 +9,10 @@ exactly once, which is what a rewrite strategy needs.
 from __future__ import annotations
 
 import math
-import operator
 import struct
 from dataclasses import dataclass
-from itertools import chain, product, repeat
-from typing import IO, Callable, Iterable, Iterator, Sequence
+from itertools import chain, product
+from typing import IO, Callable, Iterator, Sequence
 
 from .budget import as_int, check_budget
 from .chair import Chair, enumerate_points, volume
@@ -80,58 +79,73 @@ def _grid_rows(s: SplittingSequence, ranges: Sequence[range],
     return [rows[g] for g in gs]
 
 
+_BIT_TABLES = [bytes(48 | b >> j & 1 for b in range(256)) for j in range(8)]  # byte -> b"0"/b"1", bit j
+
+
 class PaddedGrid:
     """The grid [0,q)^n as the bits of one int, the first cell in row-major
     order the most significant, so a mask shifted right by a chair point e's
     flat offset moves each cell p to p + e.  An anchor p sees the cells
     p - e.  With wrap, axis i is extended periodically by l_i - 1 cells below
     and every grid cell is an anchor; without, the cells with p_i >= l_i - 1
-    are, and there are none when some l_i > q.
+    are, and there are none when some l_i > q.  The chair is the union of the
+    n boxes e < l with e_i < l_i - k_i, and offsets are linear in e, so the
+    shifts by a box are a doubling dilation along each axis in turn.
     """
 
     def __init__(self, c: Chair, q: int, wrap: bool):
-        sides = c.int_sides()
+        sides, notch = c.int_sides(), c.int_notch()
+        self.points = volume(c)
+        check_budget(self.points, None, "chair enumeration")  # the cells an anchor sees
         self.q = q
         self.pads = [l - 1 if wrap else 0 for l in sides]
         self.dims = [q + pad for pad in self.pads]
         self.strides = [math.prod(self.dims[i + 1:]) for i in range(c.n)]
-        self.offsets = [sum(map(operator.mul, e, self.strides)) for e in enumerate_points(c)]
+        self.boxes = [[min(1 << t, m - (1 << t)) * stride
+                       for stride, m in zip(self.strides, sides[:i] + (l - k,) + sides[i + 1:])
+                       for t in range((m - 1).bit_length())]
+                      for i, (l, k) in enumerate(zip(sides, notch))]
         bits = b"1"
         for d, l in zip(reversed(self.dims), reversed(sides)):
             bits = b"0" * (len(bits) * (l - 1)) + bits * (d - l + 1)
         self.anchors = int(bits or b"0", 2)  # no anchors when the chair does not fit
+        self.full = (1 << math.prod(self.dims)) - 1
 
-    def masks(self, grid: bytes, codes: Iterable[int]) -> Iterator[int]:
-        """The cells holding each code in a byte per cell of [0,q)^n,
-        row-major, once the grid is extended periodically."""
+    def masks(self, colors: Sequence[int], sigma: int) -> Iterator[int]:
+        """The cells of each color 0..sigma-1 in the grid [0,q)^n of colors,
+        row-major, extended periodically.  Cells are coded by color, any color
+        outside [0, sigma) by sigma, and a code's cells are an AND of the bit
+        planes of the codes or their complements."""
+        width = sigma.bit_length()
+        try:
+            if width > 8:
+                raise ValueError("codes take more than one byte")
+            layers = [bytes(colors)]  # the tables below fold every byte >= sigma to sigma
+        except ValueError:  # a color outside [0, 256), or sigma > 255
+            codes = [v if 0 <= v < sigma else sigma for v in colors]
+            layers = [bytes([code >> s & 255 for code in codes]) for s in range(0, width, 8)]
         for stride, pad in zip(reversed(self.strides), reversed(self.pads)):  # stride: later axes, extended
-            width, copies = self.q * stride, -(-pad // self.q)
+            size, copies = self.q * stride, -(-pad // self.q)
             cut = (copies * self.q - pad) * stride
-            grid = b"".join([(grid[i:i + width] * (copies + 1))[cut:] for i in range(0, len(grid), width)])
-        for code in codes:
-            yield int(grid.translate(b"0" * code + b"1" + b"0" * (255 - code)), 2)
+            layers = [b"".join([(g[i:i + size] * (copies + 1))[cut:] for i in range(0, len(g), size)])
+                      for g in layers]
+        tables = [bits[:sigma] + bits[sigma:sigma + 1] * (256 - sigma) for bits in _BIT_TABLES]
+        planes = [int(layers[j >> 3].translate(tables[j & 7]), 2) for j in range(width)]
+        for code in range(sigma):
+            cells = self.full
+            for j, plane in enumerate(planes):
+                cells &= plane if code >> j & 1 else self.full ^ plane
+            yield cells
 
     def reach(self, mask: int) -> int:
         """The cells that see a cell of mask."""
         out = 0
-        for off in self.offsets:
-            out |= mask >> off
+        for shifts in self.boxes:
+            box = mask
+            for shift in shifts:
+                box |= box >> shift
+            out |= box
         return out
-
-    def misses(self, masks: Iterable[int], target: int) -> int:
-        """Sum 0/1 masks in a bit-sliced counter, bit j of each cell's count in
-        planes[j]; return the anchors whose count is not target."""
-        planes: list[int] = []
-        for carry in masks:
-            for j, plane in enumerate(planes):
-                planes[j] = plane ^ carry
-                carry &= plane
-            if carry:
-                planes.append(carry)
-        exact = self.anchors if target < 1 << len(planes) else 0
-        for j, plane in enumerate(planes):
-            exact &= plane if target >> j & 1 else ~plane
-        return self.anchors ^ exact
 
     def cell(self, mask: int) -> tuple[int, ...]:
         """Grid coordinates of the first cell of a nonzero mask."""
@@ -143,38 +157,24 @@ def check_write_guarantee(col: Coloring, c: Chair) -> Verdict:
     """Every reachable write target must see each color exactly once.
 
     For an anchor state p the reachable cells are p minus a chair point, and
-    their colors must be exactly 0..sigma-1.  When q*e_i is a lattice vector
-    for every axis the grid wraps cleanly and all q^n anchors are checked on
-    the torus; otherwise only anchors whose whole reflected chair fits inside
-    the grid are checked, and the verdict records how many that was.  A
-    failure names the first bad anchor in grid order.
-
-    The check is bit-parallel on a PaddedGrid: the anchors that see a color
-    are the reach of its cells.  Those masks are summed, one color of
-    0..sigma-1 at a time, in a bit-sliced counter; an anchor passes when its
-    count is sigma and it sees no cell of any other color.
+    their colors must be 0..sigma-1, each once, so every anchor fails when
+    sigma is not the chair's point count.  When q*e_i is a lattice vector for
+    every axis the grid wraps cleanly and all q^n anchors are checked on the
+    torus; otherwise only anchors whose whole reflected chair fits inside the
+    grid are checked, and the verdict records how many that was.  A failure
+    names the first bad anchor in grid order.  On a PaddedGrid, an anchor
+    passes when it is in the reach of every color v < sigma: it sees sigma
+    cells, so it then sees each color once and no other color.
     """
-    torus = col.lattice.wraps(col.q)
-    mode = "torus" if torus else "interior"
-    grid = PaddedGrid(c, col.q, torus)
-    values = sorted(set(col.colors))
-    groups = [[v for v in values if not 0 <= v < col.sigma]] + [[v] for v in values if 0 <= v < col.sigma]
-    masks = _group_masks(col.colors, groups, grid)
-    foreign = grid.anchors & grid.reach(next(masks))
-    bad = grid.misses(map(grid.reach, masks), col.sigma)
-    if bad | foreign:
-        return Verdict.failed("anchor misses a color", grid.cell(bad | foreign), mode=mode)
+    mode = "torus" if col.lattice.wraps(col.q) else "interior"
+    grid = PaddedGrid(c, col.q, mode == "torus")
+    ok = grid.anchors if col.sigma == grid.points else 0
+    for cells in grid.masks(col.colors, col.sigma) if ok else ():
+        ok &= grid.reach(cells)
+    bad = grid.anchors ^ ok
+    if bad:
+        return Verdict.failed("anchor misses a color", grid.cell(bad), mode=mode)
     return Verdict.passed(mode=mode, anchors=grid.anchors.bit_count())
-
-
-def _group_masks(colors: Sequence[int], groups: list[list[int]], grid: PaddedGrid) -> Iterator[int]:
-    """For each group of colors, the mask of the cells whose color is in it.
-    Colors are coded as bytes, at most 255 groups per pass with 255 for any
-    other color."""
-    for start in range(0, len(groups), 255):
-        block = groups[start:start + 255]
-        code = {v: i for i, group in enumerate(block) for v in group}
-        yield from grid.masks(bytes(map(code.get, colors, repeat(255))), range(len(block)))
 
 
 def write_csv(col: Coloring, stream: IO[str]) -> int:

@@ -35,7 +35,7 @@ from chaircodes.errors import (
 )
 from chaircodes.exactmath import IntMatrix, hnf_residue
 from chaircodes.lattice import Lattice, SplittingSequence, Verdict
-from chaircodes.wom import Coloring
+from chaircodes.wom import Coloring, PaddedGrid
 
 
 def cofactor_determinant(rows: list[list[int]]) -> int:
@@ -380,9 +380,9 @@ def reference_build_coloring(lat: Lattice, c: Chair, q: int) -> Coloring:
 
 
 def reference_check_write_guarantee(col: Coloring, c: Chair) -> Verdict:
-    """The write guarantee anchor by anchor: collect the colors of the cells
+    """The write guarantee anchor by anchor: list the colors of the cells
     p - e over the chair points e, wrapping modulo q on the torus, and compare
-    them with the colors 0..sigma-1."""
+    them, sorted, with the colors 0..sigma-1, each once."""
     reps = enumerate_points(c)
     sides = c.int_sides()
     q = col.q
@@ -395,10 +395,19 @@ def reference_check_write_guarantee(col: Coloring, c: Chair) -> Verdict:
         if not torus and any(a < l - 1 for a, l in zip(p, sides)):
             continue
         anchors += 1
-        seen = {col.color_of(tuple((a - e) % q for a, e in zip(p, rp))) for rp in reps}
-        if seen != set(range(col.sigma)):
+        seen = sorted(col.color_of(tuple((a - e) % q for a, e in zip(p, rp))) for rp in reps)
+        if seen != list(range(col.sigma)):
             return Verdict.failed("anchor misses a color", p, mode=mode)
     return Verdict.passed(mode=mode, anchors=anchors)
+
+
+def reference_reach(grid: PaddedGrid, c: Chair, mask: int) -> int:
+    """The cells of grid that see a cell of mask: the OR of mask shifted by
+    the flat offset of every chair point, one point at a time."""
+    out = 0
+    for e in enumerate_points(c):
+        out |= mask >> sum(x * s for x, s in zip(e, grid.strides))
+    return out
 
 
 def reference_torus_tiling_oracle(lat: Lattice, c: Chair) -> Verdict:

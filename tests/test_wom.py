@@ -1,4 +1,5 @@
 import io
+import math
 import random
 import struct
 from collections import Counter
@@ -9,8 +10,8 @@ import pytest
 from chaircodes.chair import Chair
 from chaircodes.errors import BadParameters, BudgetExceeded, NotATiling
 from chaircodes.lattice import Lattice, chair_lattice
-from chaircodes.wom import Coloring, build_coloring, check_write_guarantee, write_binary, write_csv
-from oracles import random_chair, reference_build_coloring, reference_check_write_guarantee
+from chaircodes.wom import Coloring, PaddedGrid, build_coloring, check_write_guarantee, write_binary, write_csv
+from oracles import random_chair, reference_build_coloring, reference_check_write_guarantee, reference_reach
 
 
 def small_coloring(q=3):
@@ -88,10 +89,14 @@ class TestWriteGuarantee:
         assert ("anchors", "27") in verdict.detail
 
     def test_constant_coloring_fails(self):
+        # with sigma = 1 too: each anchor sees color 0 three times
         col, c = small_coloring(3)
-        broken = Coloring(col.q, col.n, col.sigma, (0,) * len(col.colors), col.lattice, col.chair)
-        verdict = check_write_guarantee(broken, c)
-        assert not verdict.ok
+        for sigma in (col.sigma, 1):
+            broken = Coloring(col.q, col.n, sigma, (0,) * len(col.colors), col.lattice, col.chair)
+            verdict = check_write_guarantee(broken, c)
+            assert not verdict.ok
+            assert verdict.witness == (0, 0)
+            assert verdict == reference_check_write_guarantee(broken, c)
 
     def test_vacuous_when_chair_does_not_fit(self):
         c = Chair((3, 3), (2, 2))
@@ -148,10 +153,10 @@ class TestExports:
 
 def seeded_colorings(seed=2012, bases=56):
     """(label, coloring, chair) triples: seeded chair colorings on torus,
-    interior and vacuous grids, each with six corrupted copies."""
+    interior and vacuous grids, each with seven corrupted copies."""
     rng = random.Random(seed)
     out = []
-    while len(out) < 7 * bases:
+    while len(out) < 8 * bases:
         n = rng.choice((1, 2, 2, 3))
         c = random_chair(rng, n, max_side=4 if n < 3 else 3)
         lat = chair_lattice(c)
@@ -183,6 +188,7 @@ def seeded_colorings(seed=2012, bases=56):
             ("one foreign cell", variant(lone), c),
             ("sigma + 1", variant(col.colors, sigma + 1), c),
             ("sigma - 1", variant(col.colors, sigma - 1), c),
+            ("one color", variant((0,) * cells, 1), c),
         ]
     return out
 
@@ -210,7 +216,8 @@ class TestAgainstReference:
             rejected[label] += not verdict.ok
         assert min(modes["torus"], modes["interior"], modes["vacuous"]) >= 20, modes
         assert rejected["intact"] == 0
-        for label in ("swapped", "recolored", "color >= sigma", "one foreign cell", "sigma + 1", "sigma - 1"):
+        for label in ("swapped", "recolored", "color >= sigma", "one foreign cell", "sigma + 1", "sigma - 1",
+                      "one color"):
             assert rejected[label] > 0, rejected
 
     def test_wide_palette(self):
@@ -225,3 +232,46 @@ class TestAgainstReference:
             verdicts.append(check_write_guarantee(colored, c))
             assert verdicts[-1] == reference_check_write_guarantee(colored, c)
         assert [v.ok for v in verdicts] == [True, False]
+
+    def test_plane_encoding_traps(self):
+        # each bad cell would pass as a real color if its code were cut to the
+        # low bits: 9 and -255 alias 1 in three or eight bits, v +- 2**16 alias
+        # v in sixteen
+        c = Chair((2, 2, 2), (1, 1, 1))
+        col = build_coloring(chair_lattice(c), c, 7)
+        assert col.sigma == 7
+        wide_c = Chair((17, 17), (1, 1))
+        wide = build_coloring(chair_lattice(wide_c), wide_c, 20)
+        assert wide.sigma == 288
+        cases = []
+        for bad in (9, -255):
+            colors = list(col.colors)
+            colors[colors.index(1)] = bad
+            cases.append((Coloring(col.q, col.n, 7, tuple(colors), col.lattice, c), c))
+        colors = list(wide.colors)
+        for state, shift in (((10, 10), 1 << 16), ((5, 12), -(1 << 16))):
+            colors[state[0] * 20 + state[1]] += shift
+        cases.append((Coloring(wide.q, wide.n, 288, tuple(colors), wide.lattice, wide_c), wide_c))
+        for colored, chair in cases:
+            verdict = check_write_guarantee(colored, chair)
+            assert verdict == reference_check_write_guarantee(colored, chair)
+            assert not verdict.ok
+
+
+class TestReach:
+    def test_boxes_match_point_shifts(self):
+        rng = random.Random(4)
+        seen = Counter()
+        for _ in range(240):
+            n = rng.randint(1, 4)
+            c = random_chair(rng, n, max_side=(6, 5, 4, 3)[n - 1])
+            q = rng.randint(1, 5)
+            wrap = rng.random() < 0.5
+            grid = PaddedGrid(c, q, wrap)
+            cells = math.prod(grid.dims)
+            for mask in (rng.getrandbits(cells), 1 << rng.randrange(cells), grid.full):
+                assert grid.reach(mask) == reference_reach(grid, c, mask), (c, q, wrap)
+            seen["side 2"] += 2 in c.sides
+            seen["wider than q"] += max(c.sides) > q
+            seen["wrap" if wrap else "no wrap"] += 1
+        assert min(seen.values()) >= 40, seen
