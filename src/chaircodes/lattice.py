@@ -7,12 +7,13 @@ transposed generator (columns as basis), so two generators describe the same
 lattice exactly when their canonical forms are equal.  Quotient structure
 Z^n / lattice comes from the Smith normal form of the generator, as a
 SplittingSequence: the labels of the unit vectors in Z_d1 + ... + Z_dk.
-Lattice points in a box are found by the smallest of three exact searches
-for the lattice and box at hand: a walk on the generator itself when it is
-a cyclic band like the chair's, a walk down the Hermite basis, or, as the
-points of label zero, a join of the labels of two half-boxes.  The torus
-oracle, an independent tiling check, reads the chair points' Hermite
-residues.
+A lattice of index vol(c) that holds the chair's tiling rows along some
+cycle of the coordinates is a chair lattice, which tiles the chair
+(chair_cycle).  Other lattices are checked by a search of a box: a walk
+down the Hermite basis or, as the points of label zero, a join of the
+labels of two half-boxes, whichever is smaller for the lattice and box at
+hand.  The torus oracle, an independent tiling check, reads the chair
+points' Hermite residues.
 A rational lattice L is handled through its integer model sL, s being the
 least integer with sL inside Z^n.
 """
@@ -28,11 +29,10 @@ from itertools import product
 from typing import Callable, Iterator, Sequence
 
 from . import exactmath
-from .budget import as_int, check_budget, resolve_budget
+from .budget import as_int, check_budget
 from .chair import Chair, Scalar, as_exact, enumerate_points, shifted_copies_intersect, volume
 from .errors import (
     BadParameters,
-    BudgetExceeded,
     DimensionMismatch,
     NonIntegerLattice,
     NonSquare,
@@ -346,61 +346,34 @@ def box_join(s: SplittingSequence, bounds: Sequence[int]) -> Iterator[tuple[int,
             yield xa + xb
 
 
-def _walk_size(diag: Sequence[int], bounds: Sequence[int], lead: int | None = None) -> int:
+def _walk_size(diag: Sequence[int], bounds: Sequence[int]) -> int:
     """Most nodes _walk visits on a basis with positive diagonal diag: below
     each node of depth i, the coefficient of basis column i takes at most
-    2*bounds[i] // diag[i] + 1 values, or 2*lead + 1 at depth 0 when lead is
-    given."""
+    2*bounds[i] // diag[i] + 1 values."""
     total = level = 1
     for i, b in enumerate(bounds):
-        level *= 2 * lead + 1 if lead is not None and i == 0 else max(2 * b // diag[i] + 1, 0)
+        level *= max(2 * b // diag[i] + 1, 0)
         total += level
     return total
 
 
-def _diagonal(m: IntMatrix) -> list[int]:
-    return [m.entries[i][i] for i in range(m.rows)]
-
-
-def _walk(h: Sequence[Sequence[int]], bounds: Sequence[int], lead: int | None = None,
-          limit: int | None = None) -> list[tuple[int, ...]]:
-    """The points of the lattice spanned by the columns of h in the box
-    |x_i| <= bounds[i], in the lexicographic order of their coefficients.
-
-    h has a positive diagonal and is lower triangular, except that h[0][n-1]
-    may be nonzero (the corner of a cyclic band).  Column i is the last to
-    touch coordinate i, so the walk fixes the coefficients column by column
-    and keeps those that leave x_i inside the box.  With the corner, column
-    n-1 closes x_0 too, and the first coefficient runs over [-lead, lead].
-    With limit, visiting more than limit nodes raises BudgetExceeded.
-    """
+def _walk(h: Sequence[Sequence[int]], bounds: Sequence[int]) -> list[tuple[int, ...]]:
+    """The points of the lattice spanned by the columns of the lower-triangular
+    h, whose diagonal is positive, in the box |x_i| <= bounds[i], in the
+    lexicographic order of their coefficients.  Column i is the last to touch
+    coordinate i, so the walk fixes the coefficients column by column and
+    keeps those that leave x_i inside the box."""
     n = len(bounds)
     last = n - 1
     cols = [[(r, h[r][i]) for r in range(n) if h[r][i]] for i in range(n)]
     coords = [0] * n
     points: list[tuple[int, ...]] = []
-    nodes = 1
 
     def rec(i: int) -> None:
-        nonlocal nodes
-        if i or lead is None:
-            d, base = h[i][i], coords[i]
-            cmin, cmax = -((bounds[i] + base) // d), (bounds[i] - base) // d
-        else:
-            cmin, cmax = -lead, lead
-        if i == last and lead is not None:
-            e, base = h[0][i], coords[0]
-            if e:
-                d, base = abs(e), base if e > 0 else -base
-                cmin, cmax = max(cmin, -((bounds[0] + base) // d)), min(cmax, (bounds[0] - base) // d)
-            elif abs(base) > bounds[0]:
-                return
+        d, base = h[i][i], coords[i]
+        cmin, cmax = -((bounds[i] + base) // d), (bounds[i] - base) // d
         if cmin > cmax:
             return
-        if limit is not None:
-            nodes += cmax - cmin + 1
-            if nodes > limit:
-                raise BudgetExceeded(f"lattice box walk visits over {limit} nodes, budget is {limit}")
         col = cols[i]
         for r, x in col:
             coords[r] += (cmin - 1) * x
@@ -418,84 +391,75 @@ def _walk(h: Sequence[Sequence[int]], bounds: Sequence[int], lead: int | None = 
     return points
 
 
-def band_walk(rows: Sequence[Sequence[int]], bounds: Sequence[int]
-              ) -> tuple[int, Callable[[int], list[tuple[int, ...]]]] | None:
-    """The walk on a cyclic-bidiagonal basis, or None for any other basis.
-
-    Row j must be d_j*e_j + o_{j+1}*e_{j+1}, indices mod n >= 2, with
-    |d_j| > |o_j| for every j, as in chair_rows.  A point sum c_j*row_j has
-    x_j = c_j*d_j + c_{j-1}*o_j, so at a j where |c_j| is largest,
-    |x_j| >= |c_j|*(|d_j| - |o_j|): every |c_j| is at most
-    lead = max_j bounds[j] // (|d_j| - |o_j|).  Returns (the most nodes the
-    walk visits, a function of the budget that runs _walk on the rows,
-    negated where d_j < 0, charging per node, and returns the points sorted).
-    """
-    n = len(rows)
-    if n < 2:
-        return None
-    lead = 0
-    for j, row in enumerate(rows):
-        gap = abs(row[j]) - abs(rows[j - 1][j])
-        if gap <= 0 or n - row.count(0) != 1 + (row[(j + 1) % n] != 0):
-            return None
-        lead = max(lead, bounds[j] // gap)
-
-    def run(limit: int) -> list[tuple[int, ...]]:
-        h = [[0] * n for _ in range(n)]
-        for j, row in enumerate(rows):
-            k = (j + 1) % n
-            sign = -1 if row[j] < 0 else 1
-            h[j][j], h[k][j] = sign * row[j], sign * row[k]
-        return sorted(_walk(h, bounds, lead, limit))
-
-    return _walk_size([abs(row[j]) for j, row in enumerate(rows)], bounds, lead), run
-
-
 def lattice_points_in_box(lat: Lattice, max_abs: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """All integer-lattice points x with |x_i| <= max_abs[i], zero included,
     in lexicographic order.
 
-    Up to three exact searches are sized before any runs.  A generator that
-    is a cyclic band, like chair_rows, is walked on its own rows (band_walk),
-    with few nodes however many dimensions the box has.  A walk down the
+    Two exact searches are sized before either runs.  A walk down the
     lower-triangular Hermite basis visits at most _walk_size nodes, few when
     the lattice is sparse in the box (large Hermite diagonal entries).  The
     lattice is the kernel of its labelling, so box_join on it finds the same
     points with two tables of at most join_size entries, few when the box is
-    small however dense the lattice.  The smallest size runs.  The band walk
-    is charged per node; a band size within the budget skips the Hermite
-    form, and one over it must beat the Hermite walk too.  The other two are
-    checked on their size and yield in lexicographic order: the Hermite walk
-    is lexicographic in the coefficients, which on a lower-triangular basis
-    with positive diagonal order the points as x does.
+    small however dense the lattice.  The smaller of the two sizes runs and is
+    checked against the budget.  Both yield in lexicographic order: the walk
+    is lexicographic in the Hermite coefficients, which on a lower-triangular
+    basis with positive diagonal order the points as x does.
     """
     bounds = [as_int(b, "a box bound") for b in max_abs]
     if len(bounds) != lat.n:
         raise DimensionMismatch(f"{len(bounds)} bounds for {lat.n} coordinates")
-    join = join_size(bounds)
-    band = band_walk(lat.generator_matrix().entries, bounds)
-    if band and band[0] < join:
-        limit = resolve_budget()
-        if band[0] <= limit or band[0] < _walk_size(_diagonal(lat.canonical()), bounds):
-            return iter(band[1](limit))
     h = lat.canonical()
-    nodes = _walk_size(_diagonal(h), bounds)
-    if nodes < join:
+    nodes = _walk_size([h.entries[i][i] for i in range(lat.n)], bounds)
+    if nodes < join_size(bounds):
         check_budget(nodes, None, "lattice box walk")
         return iter(_walk(h.entries, bounds))
     return box_join(lat.labeling(), bounds)
 
 
+def chair_cycle(sides: Sequence[Scalar], notch: Sequence[Scalar], member: Callable[[list], bool]) -> bool:
+    """Whether member holds on the rows l_j*e_j - k_i*e_i along an n-cycle
+    j -> i of the coordinates, followed greedily from coordinate 0.
+
+    Those rows are chair_rows with the coordinates relabelled along the
+    cycle, so they span a lattice of index vol(c) that tiles the chair
+    (arXiv 1204.4204), and a lattice of that index holding them is that
+    lattice.  The greedy choice is exact on a lattice that packs the chair:
+    two candidates i != i' for one j would put k_i'*e_i' - k_i*e_i in the
+    lattice, which for n >= 3 is zero on a third coordinate, and the chair's
+    copy there overlaps the one at 0.
+    """
+    n = len(sides)
+
+    def row(j: int, i: int) -> list[Scalar]:
+        v: list[Scalar] = [0] * n
+        v[j] += sides[j]
+        v[i] -= notch[i]
+        return v
+
+    unvisited = list(range(1, n))
+    j = 0
+    while unvisited:
+        i = next((i for i in unvisited if member(row(j, i))), None)
+        if i is None:
+            return False
+        unvisited.remove(i)
+        j = i
+    return member(row(j, 0))
+
+
 def verify_packing(lat: Lattice, c: Chair) -> Verdict:
     """Check that chair copies at lattice points are pairwise disjoint.
 
-    Every nonzero lattice point in the open box (-l_i, l_i) is tested with the
-    closed-form intersection criterion; any hit is a counterexample.  The box
-    is searched on the integer model sL, whose points x with |x_i| < s*l_i
-    are the shifts x/s to test.
+    A lattice of the chair's volume that passes chair_cycle is a chair
+    lattice and packs.  Otherwise every nonzero lattice point in the open box
+    (-l_i, l_i) is tested with the closed-form intersection criterion; any
+    hit is a counterexample.  The box is searched on the integer model sL,
+    whose points x with |x_i| < s*l_i are the shifts x/s to test.
     """
     if lat.n != c.n:
         raise DimensionMismatch(f"lattice is {lat.n}-dimensional, chair is {c.n}-dimensional")
+    if lat.volume == volume(c) and chair_cycle(c.sides, c.notch, lat.member):
+        return Verdict.passed()
     s = lat.scale
     bounds = [math.ceil(s * l) - 1 for l in c.sides]
     for x in lattice_points_in_box(lat.integer_model(), bounds):

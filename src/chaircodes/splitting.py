@@ -12,14 +12,13 @@ live here.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 from . import exactmath
-from .budget import as_int, resolve_budget
+from .budget import as_int
 from .chair import Chair, enumerate_points, shifted_copies_intersect, volume
 from .errors import BadParameters, HypothesisViolated, NotDiscrete
 from .exactmath import IntMatrix, mod_inverse
-from .lattice import Lattice, SplittingSequence, Verdict, band_walk, box_join, chair_rows, join_size
+from .lattice import Lattice, SplittingSequence, Verdict, box_join, chair_cycle, join_size
 
 
 def alpha_unit(n: int, ell: int) -> int:
@@ -79,16 +78,16 @@ def general_chair_splitting(c: Chair) -> SplittingSequence:
 def verify_splitting(c: Chair, s: SplittingSequence) -> Verdict:
     """Check that the chair points take pairwise distinct values under s.
 
-    Two chair points p != q share a value exactly when x = p - q is a nonzero
-    vector of value 0 with |x_i| < l_i that shifts the chair onto itself.
-    When s has value 0 on every row of chair_rows, taken in the coordinate
-    order s.permutation records, and its residues generate G, its kernel
-    contains the lattice of those rows and has the same index, the volume,
-    so it is that lattice, and band_walk on the rows finds every such x.  A
-    box_join on s's own labelling always does.  The cheapest of the walk,
-    the join and the chair's volume runs, and a walk or join that finds no
-    such x passes.  Otherwise the chair's points are labelled one by one,
-    which also reports the first colliding pair in lexicographic order.
+    When s's residues generate G and s has value 0 on the chair's rows along
+    some n-cycle of the coordinates (chair_cycle), its kernel has index
+    vol(c) and holds those rows, so it is a lattice tiling the chair and s
+    passes.  Otherwise two chair points p != q share a value exactly when
+    x = p - q is a nonzero vector of value 0 with |x_i| < l_i that shifts
+    the chair onto itself, and a box_join on s's own labelling finds every
+    such x.  When the join's larger table is smaller than the chair, a join
+    that finds none passes.  Otherwise the chair's points are labelled one
+    by one, which also reports the first colliding pair in lexicographic
+    order.
     """
     if not c.is_discrete:
         raise NotDiscrete("splitting verification needs a discrete chair")
@@ -98,18 +97,13 @@ def verify_splitting(c: Chair, s: SplittingSequence) -> Verdict:
     if s.order != vol:
         return Verdict.failed("group order does not match chair volume",
                               group_order=s.order, chair_volume=vol)
-    sides, notch, perm = c.int_sides(), c.int_notch(), s.permutation
+    sides = c.int_sides()
+    if _generates(s) and chair_cycle(sides, c.int_notch(), lambda v: not any(s.value(v))):
+        return Verdict.passed(values=vol)
     bounds = [l - 1 for l in sides]
-    rows = chair_rows([sides[i] for i in perm], [notch[i] for i in perm])  # coordinate j is x[perm[j]]
-    join = join_size(bounds)
-    band = band_walk(rows, [bounds[i] for i in perm])
-    points = None
-    if (band and band[0] < min(join, vol) and _generates(s)
-            and not any(any(s.value(_placed(row, perm))) for row in rows)):
-        points = [_placed(y, perm) for y in band[1](resolve_budget())]
-    elif join < vol:
-        points = box_join(s, bounds)
-    if points is not None and not any(shifted_copies_intersect(c, x) for x in points if any(x)):
+    if join_size(bounds) < vol and not any(
+        shifted_copies_intersect(c, x) for x in box_join(s, bounds) if any(x)
+    ):
         return Verdict.passed(values=vol)
     seen: dict[tuple[int, ...], tuple[int, ...]] = {}
     for p in enumerate_points(c):
@@ -118,14 +112,6 @@ def verify_splitting(c: Chair, s: SplittingSequence) -> Verdict:
             return Verdict.failed("two chair points share a group value", (seen[val], p))
         seen[val] = p
     return Verdict.passed(values=vol)
-
-
-def _placed(y: Sequence[int], perm: Sequence[int]) -> tuple[int, ...]:
-    """The point x with x[perm[j]] = y[j]."""
-    x = [0] * len(perm)
-    for j, i in enumerate(perm):
-        x[i] = y[j]
-    return tuple(x)
 
 
 def _generates(s: SplittingSequence) -> bool:

@@ -16,7 +16,7 @@ from typing import IO, Callable, Iterator, Sequence
 
 from .budget import as_int, check_budget
 from .chair import Chair, enumerate_points, volume
-from .errors import BadParameters, NotATiling
+from .errors import BadParameters, DimensionMismatch, NotATiling
 from .lattice import Lattice, SplittingSequence, Verdict
 
 
@@ -166,6 +166,8 @@ def check_write_guarantee(col: Coloring, c: Chair) -> Verdict:
     passes when it is in the reach of every color v < sigma: it sees sigma
     cells, so it then sees each color once and no other color.
     """
+    if c.n != col.n:
+        raise DimensionMismatch(f"coloring is {col.n}-dimensional, chair is {c.n}-dimensional")
     mode = "torus" if col.lattice.wraps(col.q) else "interior"
     grid = PaddedGrid(c, col.q, mode == "torus")
     ok = grid.anchors if col.sigma == grid.points else 0

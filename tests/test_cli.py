@@ -7,8 +7,10 @@ from pathlib import Path
 import pytest
 
 import chaircodes
-from chaircodes import cli, errors
+from chaircodes import cli, errors, splitting
+from chaircodes.chair import Chair
 from chaircodes.cli import main
+from chaircodes.lattice import chair_lattice
 
 
 def run_cli(capsys, *argv):
@@ -97,7 +99,8 @@ class TestConstruct:
     @pytest.mark.parametrize("n", [11, 16, 24])
     def test_chairs_past_the_join(self, capsys, monkeypatch, n):
         # from n = 11 on the join's half tables need 13^6 > 10^6 entries; the
-        # band walk on the chair's rows visits at most a few thousand nodes
+        # lattice and the splitting hold the chair's rows, so chair_cycle
+        # decides both without a search
         monkeypatch.delenv("CHAIRCODES_BUDGET", raising=False)
         l, k = ",".join(["7"] * n), ",".join(["4"] * n)
         rc, out, _ = run_cli(capsys, "construct", "--l", l, "--k", k)
@@ -116,7 +119,7 @@ class TestConstruct:
     def test_reordered_splitting_past_the_join(self, capsys, monkeypatch):
         # k_4 = 5 shares a factor with the volume, so the splitting puts
         # coordinate 3 first; its kernel is the lattice of the chair's rows
-        # in that order, which the band walk takes instead of a join of
+        # in that order, which chair_cycle finds instead of a join of
         # 89,813,529 labels per half
         monkeypatch.delenv("CHAIRCODES_BUDGET", raising=False)
         l, k = "5,5,7,7,5,5,5,5,5,5,5,5,5,5,7,7", "4,4,3,5,4,2,2,4,4,1,1,4,2,1,6,4"
@@ -174,7 +177,8 @@ class TestVerify:
         assert json.loads(err)["error"]["type"] == "NotDiscrete"
 
     def test_sparse_lattices_in_large_boxes(self, capsys, tmp_path, monkeypatch):
-        # the join's half tables exceed the budget, the walk's few nodes do not
+        # the join's half tables exceed the budget; the first lattice and
+        # labelling are the chair's, and the walk's few nodes decide the other
         rc, out, _ = run_cli(capsys, "verify", "--l", "2000000", "--k", "1")
         assert rc == 0
         path = tmp_path / "lat.json"
@@ -185,6 +189,48 @@ class TestVerify:
         monkeypatch.setenv("CHAIRCODES_BUDGET", "1000")
         rc, out, _ = run_cli(capsys, "verify", "--l", "1000", "--k", "1", "--m", "999", "--beta", "1")
         assert rc == 0
+
+    @pytest.mark.parametrize("n", [11, 24])
+    def test_hermite_basis_past_the_join(self, capsys, tmp_path, monkeypatch, n):
+        # the 7^n - 4^n chair lattice in its Hermite basis holds the chair's
+        # rows and has its volume; the join would table 13^6 labels per half
+        monkeypatch.delenv("CHAIRCODES_BUDGET", raising=False)
+        rows = chair_lattice(Chair((7,) * n, (4,) * n)).canonical().transpose().entries
+        path = tmp_path / "lat.json"
+        path.write_text(json.dumps({"generator": [[str(x) for x in row] for row in rows]}))
+        l, k = ",".join(["7"] * n), ",".join(["4"] * n)
+        rc, out, _ = run_cli(capsys, "verify", "--l", l, "--k", k, "--generator", str(path))
+        assert rc == 0
+        assert report_of(out)["verdicts"] == {"tiling": {"ok": True}}
+
+    def test_24d_sphere_chair(self, capsys, monkeypatch):
+        monkeypatch.delenv("CHAIRCODES_BUDGET", raising=False)
+        rc, out, _ = run_cli(capsys, "verify", "--l", ",".join(["7"] * 24), "--k", ",".join(["6"] * 24))
+        assert rc == 0
+        assert report_of(out)["verdicts"] == {"tiling": {"ok": True}}
+
+    def test_beta_in_another_cycle_order(self, capsys, monkeypatch):
+        # beta has value 0 on 7*e_j - 4*e_i along the cycle
+        # 0 -> 11 -> 10 -> ... -> 1 -> 0, not the chair's own order, and
+        # chair_cycle decides it; the join's half tables of 13^6 labels would
+        # exceed the budget
+        monkeypatch.delenv("CHAIRCODES_BUDGET", raising=False)
+        n, m = 12, 7**12 - 4**12
+        alpha = 7 * pow(4, -1, m) % m
+        beta = [pow(alpha, -i, m) for i in range(n)]
+        decided = []
+        real = splitting.chair_cycle
+
+        def counting(sides, notch, member):
+            decided.append(real(sides, notch, member))
+            return decided[-1]
+
+        monkeypatch.setattr(splitting, "chair_cycle", counting)
+        l, k = ",".join(["7"] * n), ",".join(["4"] * n)
+        rc, out, _ = run_cli(capsys, "verify", "--l", l, "--k", k, "--m", str(m), "--beta", ",".join(map(str, beta)))
+        assert rc == 0
+        assert report_of(out)["verdicts"] == {"splitting": {"ok": True, "detail": {"values": str(m)}}}
+        assert decided == [True]
 
     def test_generator_file(self, capsys, tmp_path):
         path = tmp_path / "lat.json"

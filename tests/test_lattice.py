@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from chaircodes import lattice as lattice_module
 from chaircodes.chair import Chair, enumerate_points, volume
 from chaircodes.errors import (
     BudgetExceeded,
@@ -20,9 +21,10 @@ from chaircodes.errors import (
 from chaircodes.exactmath import IntMatrix, determinant
 from chaircodes.lattice import (
     Lattice,
+    SplittingSequence,
     Verdict,
-    band_walk,
     box_join,
+    chair_cycle,
     chair_lattice,
     chair_rows,
     join_size,
@@ -31,6 +33,7 @@ from chaircodes.lattice import (
     verify_packing,
     verify_tiling,
 )
+from chaircodes.splitting import splitting_to_lattice
 
 from oracles import (
     all_valid_chairs,
@@ -355,21 +358,17 @@ class TestBoxJoin:
 
     def test_14d_chair_exceeds_budget(self, monkeypatch):
         # halves of 13^7 cells and a Hermite walk of about 13^13 nodes, but
-        # the band walk on the chair's own rows visits 955
+        # the lattice holds the chair's rows and has its volume, so no box is
+        # searched and nothing is charged
         c = Chair((7,) * 14, (4,) * 14)
         assert verify_tiling(chair_lattice(c), c) == Verdict.passed()
-        # the sphere chair 4^14 - 3^14: a band bound of 114,682 nodes, of
-        # which the walk visits 3,141; it is charged per node visited
-        c = Chair((4,) * 14, (3,) * 14)
-        monkeypatch.setenv("CHAIRCODES_BUDGET", "3140")
-        with pytest.raises(BudgetExceeded, match="visits over 3140 nodes"):
-            verify_tiling(chair_lattice(c), c)
-        monkeypatch.setenv("CHAIRCODES_BUDGET", "3141")
+        c = Chair((4,) * 14, (3,) * 14)  # the sphere chair 4^14 - 3^14
+        monkeypatch.setenv("CHAIRCODES_BUDGET", "1")
         assert verify_tiling(chair_lattice(c), c) == Verdict.passed()
 
 
 def _band_cases(rng: random.Random, count: int):
-    """(kind, rows, bounds) of cyclic-bidiagonal bases for the band walk.
+    """(kind, rows, bounds) of cyclic-bidiagonal (band) bases for the box search.
 
     Kinds: chair rows with the packing bounds l_i - 1; chair rows with some
     rows negated and random bounds; random bands whose diagonal and
@@ -406,18 +405,18 @@ def _band_cases(rng: random.Random, count: int):
 
 
 class TestBandWalk:
+    """lattice_points_in_box on cyclic-bidiagonal (band) bases such as
+    chair_rows, which the Hermite walk or the join searches."""
+
     def test_matches_hnf_walk(self):
-        # the band walk, and lattice_points_in_box, give the points of the
-        # walk down the Hermite basis in the same order
+        # lattice_points_in_box gives the points of the walk down the
+        # Hermite basis in the same order
         rng = random.Random(151)
         points = Counter()
         cases = Counter()
         for kind, rows, bounds in _band_cases(rng, 4000):  # 3,000 from chairs
             lat = Lattice(rows)
             expected = list(reference_lattice_points_in_box(lat, bounds))
-            band = band_walk(rows, bounds)
-            assert band is not None and band[0] >= 1, (kind, rows)
-            assert band[1](10**6) == expected, (kind, rows, bounds)
             assert list(lattice_points_in_box(lat, bounds)) == expected, (kind, rows, bounds)
             points[kind] += len(expected)
             cases[kind, len(rows)] += 1
@@ -431,34 +430,170 @@ class TestBandWalk:
         # oracle is the join, whose half tables stay within the budget to n = 9
         c = Chair((7,) * n, (4,) * n)
         lat = chair_lattice(c)
-        rows = lat.generator_matrix().entries
         bounds = [6] * n
-        band = band_walk(rows, bounds)
         oracle = reference_lattice_points_in_box(lat, bounds) if n < 6 else box_join(lat.labeling(), bounds)
-        got = band[1](10**6)
-        assert got == list(lattice_points_in_box(lat, bounds)) == list(oracle)
+        got = list(lattice_points_in_box(lat, bounds))
+        assert got == list(oracle)
         assert len(got) == 5
 
-    def test_other_bases_are_not_bands(self):
-        bounds = [3, 3, 3]
-        assert band_walk([[5]], [3]) is None
-        assert band_walk([[3, -2, 0], [0, 3, -2], [-2, 0, 3]], bounds) is not None
-        assert band_walk([[3, -2, 1], [0, 3, -2], [-2, 0, 3]], bounds) is None  # a third entry
-        assert band_walk([[3, -3, 0], [0, 3, -2], [-2, 0, 3]], bounds) is None  # |o| = |d|
-        assert band_walk([[0, -2, 0], [0, 3, -2], [-2, 0, 3]], bounds) is None  # zero diagonal
-        assert band_walk([[2, 5], [1, 6]], [3, 3]) is not None  # n = 2: each column has one o
-        assert band_walk([[2, 7], [1, 6]], [3, 3]) is None  # |o| > |d| in column 1
-
     def test_hermite_walk_kept_within_budget(self, monkeypatch):
-        # a band bound of 262 nodes, of which the band walk visits 33, against
-        # a Hermite walk of at most 19 and half tables of 775: with a budget
-        # of 20 the Hermite walk runs, as it did before the band walk existed
+        # a Hermite walk of at most 19 nodes against half tables of 775: with
+        # a budget of 20 the Hermite walk runs
         rows, bounds = [[50, -73], [13, -100]], [4, 387]
         lat = Lattice(rows)
         monkeypatch.setenv("CHAIRCODES_BUDGET", "20")
-        with pytest.raises(BudgetExceeded):
-            band_walk(rows, bounds)[1](20)
         assert list(lattice_points_in_box(lat, bounds)) == list(reference_lattice_points_in_box(lat, bounds))
+
+
+def _cycle_rows(sides, notch, order):
+    """The rows l_j*e_j - k_i*e_i for each step j -> i of the coordinate
+    cycle that visits order in turn."""
+    n = len(sides)
+    rows = []
+    for a, j in enumerate(order):
+        i = order[(a + 1) % n]
+        row = [0] * n
+        row[j] += sides[j]
+        row[i] -= notch[i]
+        rows.append(row)
+    return rows
+
+
+def _random_cycle_rows(rng: random.Random, c: Chair):
+    order = [0] + rng.sample(range(1, c.n), c.n - 1)
+    rows = _cycle_rows(c.sides, c.notch, order)
+    rng.shuffle(rows)
+    return rows
+
+
+def _mixed(rng: random.Random, rows):
+    u = random_unimodular(len(rows), rng).entries
+    return [[sum(a * r[t] for a, r in zip(urow, rows)) for t in range(len(rows))] for urow in u]
+
+
+class TestChairCycle:
+    def test_follows_the_cycle_greedily(self):
+        # the lattice of the cycle 0 -> 2 -> 1 -> 0: coordinate 0 tries 1,
+        # then 2; coordinate 2 tries 1; the cycle closes from 1 to 0
+        c = Chair((5, 4, 3), (3, 3, 1))
+        lat = Lattice(_cycle_rows(c.sides, c.notch, [0, 2, 1]))
+        asked = []
+
+        def member(v):
+            asked.append(tuple(v))
+            return lat.member(v)
+
+        assert chair_cycle(c.sides, c.notch, member)
+        assert asked == [(5, -3, 0), (5, 0, -1), (0, -3, 3), (-3, 4, 0)]
+        assert not chair_lattice(c).same_lattice(lat)
+
+    def test_one_and_two_dimensions(self):
+        assert chair_cycle((5,), (2,), Lattice([[3]]).member)
+        assert not chair_cycle((5,), (2,), Lattice([[6]]).member)
+        assert chair_cycle((5,), (2,), Lattice([[1]]).member)  # it is the volume that differs
+        c = Chair((3, 4), (2, 1))
+        assert chair_cycle(c.sides, c.notch, chair_lattice(c).member)
+        assert not chair_cycle(c.sides, c.notch, Lattice([[3, 0], [0, 3]]).member)
+
+    def test_missing_row(self):
+        # every row but the one closing the cycle
+        c = Chair((5, 4, 3), (3, 3, 1))
+        rows = chair_lattice(c).generator_matrix().entries
+        lat = Lattice([rows[0], rows[1], [0, 0, 2 * c.sides[2]]])
+        assert not chair_cycle(c.sides, c.notch, lat.member)
+
+    def test_cycle_lattices_tile(self, monkeypatch):
+        # chair lattices over random coordinate cycles, in random unimodular
+        # and Hermite bases and for rational chairs, are decided by the
+        # certificate, and the torus oracle and the reference packing search
+        # agree with the verdict
+        decided = Counter()
+        real = lattice_module.chair_cycle
+
+        def counting(sides, notch, member):
+            ok = real(sides, notch, member)
+            decided[kind] += ok
+            return ok
+
+        monkeypatch.setattr(lattice_module, "chair_cycle", counting)
+        rng = random.Random(233)
+        caps = {1: 20, 2: 12, 3: 6, 4: 4, 5: 3, 6: 3}
+        kinds = ("cycle", "unimodular", "hermite", "rational")
+        cases = Counter()
+        for t in range(1200):
+            kind = kinds[t % len(kinds)]
+            n = rng.randint(1, 6) if kind != "rational" else rng.randint(1, 3)
+            c = random_rational_chair(rng, n) if kind == "rational" else random_chair(rng, n, caps[n])
+            rows = _random_cycle_rows(rng, c)
+            if kind in ("unimodular", "rational"):
+                rows = _mixed(rng, rows)
+            lat = Lattice(rows)
+            if kind == "hermite":
+                lat = Lattice(lat.canonical().transpose().entries)
+            assert verify_tiling(lat, c) == Verdict.passed(), (kind, c, rows)
+            assert reference_verify_packing(lat, c).ok and lat.volume == volume(c)
+            if kind != "rational":
+                assert torus_tiling_oracle(lat, c).ok, (kind, c, rows)
+            cases[kind, n] += 1
+        assert decided == Counter({kind: 300 for kind in kinds})
+        assert all(cases[kind, n] > 30 for kind in kinds[:3] for n in range(1, 7))
+
+    def test_superlattices_fail(self):
+        # a superlattice of a chair lattice holds the cycle's rows too, but
+        # its index is smaller than the chair's volume: it cannot pack, and
+        # the search reports the reference's witness
+        rng = random.Random(239)
+        failed = 0
+        for _ in range(400):
+            n = rng.randint(1, 5)
+            c = random_chair(rng, n, {1: 20, 2: 12, 3: 6, 4: 4, 5: 3}[n])
+            s = Lattice(_random_cycle_rows(rng, c)).labeling()
+            factors = [j for j, d in enumerate(s.divisors) if d > 1]
+            if not factors:
+                continue
+            j = rng.choice(factors)
+            p = min(q for q in range(2, s.divisors[j] + 1) if s.divisors[j] % q == 0)
+            divisors = tuple(d // p if t == j else d for t, d in enumerate(s.divisors))
+            sup = splitting_to_lattice(SplittingSequence(divisors, s.residues))
+            sup = Lattice(_mixed(rng, sup.generator_matrix().entries))
+            assert sup.volume * p == volume(c)
+            assert chair_cycle(c.sides, c.notch, sup.member)
+            verdict = verify_tiling(sup, c)
+            assert not verdict.ok and verdict == reference_verify_packing(sup, c), (c, sup)
+            failed += 1
+        assert failed > 300
+
+    def test_one_candidate_on_packing_lattices(self):
+        # for n >= 3, a lattice that packs the chair holds l_j*e_j - k_i*e_i
+        # for at most one i != j; a chair lattice over a cycle holds it for
+        # the cycle's next coordinate
+        rng = random.Random(241)
+        seen = Counter()
+        for t in range(900):
+            n = rng.randint(3, 6)
+            c = random_chair(rng, n, {3: 6, 4: 4, 5: 3, 6: 3}[n])
+            order = [0] + rng.sample(range(1, n), n - 1)
+            rows = _cycle_rows(c.sides, c.notch, order)
+            kind = ("cycle", "sublattice", "perturbed")[t % 3]
+            if kind == "sublattice":
+                i = rng.randrange(n)
+                rows[i] = [x * rng.choice([2, 3]) for x in rows[i]]
+            elif kind == "perturbed":
+                rows[rng.randrange(n)][rng.randrange(n)] += rng.choice([-1, 1])
+            try:
+                lat = Lattice(_mixed(rng, rows))
+            except SingularMatrix:
+                continue
+            if not reference_verify_packing(lat, c).ok:
+                continue
+            for j in range(n):
+                hits = [i for i in range(n) if i != j
+                        and lat.member([c.sides[j] if u == j else -c.notch[i] if u == i else 0 for u in range(n)])]
+                assert len(hits) <= 1, (c, lat, j, hits)
+                if kind == "cycle":
+                    assert hits == [order[(order.index(j) + 1) % n]]
+            seen[kind] += 1
+        assert seen["cycle"] == 300 and seen["sublattice"] > 100 and seen["perturbed"] > 20
 
 
 class TestVerifyPacking:

@@ -20,7 +20,7 @@ from chaircodes.splitting import (
     verify_splitting,
 )
 
-from oracles import random_chair, reference_lattice_points_in_box, reference_verify_splitting
+from oracles import random_chair, reference_verify_splitting
 
 
 class TestSplittingSequence:
@@ -206,8 +206,7 @@ class TestVerifySplitting:
 
     def test_budget(self, monkeypatch):
         # s has value 0 on the chair's rows and generates Z_m, so its kernel
-        # is the chair lattice: the band walk on those rows visits 195 nodes
-        # (a bound of 1,276), charged to the budget per node
+        # is the chair lattice: no box is searched and nothing is charged
         c = Chair((7,) * 8, (4,) * 8)
         s = general_chair_splitting(c)
         monkeypatch.setenv("CHAIRCODES_BUDGET", str(13**4))
@@ -217,11 +216,8 @@ class TestVerifySplitting:
         wrong = SplittingSequence.cyclic(s.order, (1,) * 8)
         with pytest.raises(BudgetExceeded):
             verify_splitting(c, wrong)
-        monkeypatch.setenv("CHAIRCODES_BUDGET", "195")
+        monkeypatch.setenv("CHAIRCODES_BUDGET", "1")
         assert verify_splitting(c, s) == Verdict.passed(values=7**8 - 4**8)
-        monkeypatch.setenv("CHAIRCODES_BUDGET", "194")
-        with pytest.raises(BudgetExceeded, match="visits over 194 nodes"):
-            verify_splitting(c, s)
 
     def test_long_side_enumerates(self, monkeypatch):
         # half tables of 1,999 values against 999 chair points: the chair is
@@ -273,48 +269,41 @@ class TestVerifySplitting:
         assert outcomes["wrong order", False, False] == 120
 
 
-    def test_band_walk_matches_enumeration_reference(self, monkeypatch):
+    def test_certificate_matches_enumeration_reference(self, monkeypatch):
         # full Verdict equality with the scan on labellings whose kernel is
-        # a chair lattice, which take the band walk: round trips, their
-        # residues times a unit, and constructed splittings, some with their
-        # coordinates reordered.  The controls keep every chair row in the
-        # kernel but do not generate the group: residues times a non-unit,
-        # which merge cosets and must fail
-        runs = Counter()
-        real_band_walk = splitting.band_walk
+        # a chair lattice, which chair_cycle decides: round trips, their
+        # residues times a unit, constructed splittings, some with their
+        # coordinates reordered, and cyclic labellings over a random
+        # coordinate cycle whose recorded order is the identity.  The
+        # controls keep every row of a cycle in the kernel but do not
+        # generate the group: residues times a non-unit, which merge cosets
+        # and must fail with the scan's pair
+        decided = Counter()
+        real = splitting.chair_cycle
 
-        def counting_band_walk(rows, bounds):
-            band = real_band_walk(rows, bounds)
-            if band is None:
-                return None
+        def counting(sides, notch, member):
+            ok = real(sides, notch, member)
+            decided[kind, permuted] += ok
+            return ok
 
-            def run(limit):
-                runs[kind, permuted] += 1
-                return band[1](limit)
-            return band[0], run
-
-        checked = []
-        real_intersect = splitting.shifted_copies_intersect
-
-        def recording_intersect(c, x):
-            checked.append(x)
-            return real_intersect(c, x)
-
-        monkeypatch.setattr(splitting, "band_walk", counting_band_walk)
-        monkeypatch.setattr(splitting, "shifted_copies_intersect", recording_intersect)
+        monkeypatch.setattr(splitting, "chair_cycle", counting)
         rng = random.Random(223)
         outcomes = Counter()
+        reordered = 0
         for i in range(2400):
             n = rng.randint(2, 6)
             c = random_chair(rng, n, {2: 16, 3: 9, 4: 6, 5: 5, 6: 4}[n])
             s = lattice_to_splitting(chair_lattice(c))
-            kind = ("round trip", "unit", "non-unit", "constructed")[i % 4]
+            kind = ("round trip", "unit", "non-unit", "constructed", "cycle")[i % 5]
             factors = [j for j, d in enumerate(s.divisors) if d > 1]
             if kind == "constructed":
                 try:
                     s = general_chair_splitting(c)
                 except HypothesisViolated:
                     pass
+            elif kind == "cycle":
+                s = _cycle_labelling(rng, c) or s
+                reordered += splitting_to_lattice(s) != chair_lattice(c)
             elif kind != "round trip" and factors:
                 j = rng.choice(factors)
                 d = s.divisors[j]
@@ -324,22 +313,18 @@ class TestVerifySplitting:
                 residues = [tuple(b * u for b in row) if t == j else row for t, row in enumerate(s.residues)]
                 s = SplittingSequence(s.divisors, residues)
             permuted = s.permutation != tuple(range(n))
-            walks = runs[kind, permuted]
-            checked.clear()
             verdict = verify_splitting(c, s)
             assert verdict == reference_verify_splitting(c, s), (kind, c, s)
-            if runs[kind, permuted] > walks and permuted:
-                # the walk's points, put back in the chair's coordinates, are
-                # the kernel's nonzero points in the box
-                box = [l - 1 for l in c.int_sides()]
-                kernel = reference_lattice_points_in_box(splitting_to_lattice(s), box)
-                assert sorted(checked) == [x for x in kernel if any(x)], (c, s)
+            if kind == "non-unit":
+                assert real(c.int_sides(), c.int_notch(), lambda v: not any(s.value(v)))
             outcomes[kind, verdict.ok, len(s.divisors) > 1 or permuted] += 1
-        assert sum(runs.values()) > 500 and runs["constructed", True] > 40
+        assert sum(decided.values()) > 1200 and decided["constructed", True] > 40
+        assert decided["cycle", False] == 480 and reordered > 100
+        assert decided["non-unit", False] == decided["non-unit", True] == 0
         assert outcomes["non-unit", True, False] == outcomes["non-unit", True, True] == 0
-        assert outcomes["non-unit", False, False] > 250 and outcomes["non-unit", False, True] > 80
-        assert outcomes["unit", True, True] > 80 and outcomes["round trip", True, True] > 80
-        assert outcomes["constructed", True, True] > 200
+        assert outcomes["non-unit", False, False] > 200 and outcomes["non-unit", False, True] > 60
+        assert outcomes["unit", True, True] > 60 and outcomes["round trip", True, True] > 60
+        assert outcomes["constructed", True, True] > 160
 
     def test_generates_matches_subgroup_closure(self):
         rng = random.Random(227)
@@ -494,3 +479,22 @@ class TestLabelingOracle:
         assert lat.coset_label(p) == lat.coset_label(same)
         assert lat.labeling().order == lat.volume
         assert splitting_to_lattice(lattice_to_splitting(lat)) == lat
+
+
+def _cycle_labelling(rng: random.Random, c: Chair) -> SplittingSequence | None:
+    """A cyclic labelling over Z_vol with value 0 on l_j*e_j - k_i*e_i along
+    a random coordinate cycle j -> i, its recorded order the identity; None
+    when two notch sides are not units.  The cycle starts at the one that is
+    not, if any, since its inverse is never needed."""
+    n, m = c.n, int(volume(c))
+    sides, notch = c.int_sides(), c.int_notch()
+    offenders = [i for i in range(n) if math.gcd(notch[i], m) != 1]
+    if len(offenders) > 1:
+        return None
+    start = offenders[0] if offenders else rng.randrange(n)
+    order = [start] + rng.sample([i for i in range(n) if i != start], n - 1)
+    beta = [0] * n
+    beta[start] = 1 % m
+    for j, i in zip(order, order[1:]):
+        beta[i] = sides[j] * beta[j] * pow(notch[i], -1, m) % m
+    return SplittingSequence.cyclic(m, beta)

@@ -8,7 +8,7 @@ from itertools import product
 import pytest
 
 from chaircodes.chair import Chair
-from chaircodes.errors import BadParameters, BudgetExceeded, NotATiling
+from chaircodes.errors import BadParameters, BudgetExceeded, DimensionMismatch, NotATiling
 from chaircodes.lattice import Lattice, chair_lattice
 from chaircodes.wom import Coloring, PaddedGrid, build_coloring, check_write_guarantee, write_binary, write_csv
 from oracles import random_chair, reference_build_coloring, reference_check_write_guarantee, reference_reach
@@ -97,6 +97,13 @@ class TestWriteGuarantee:
             assert not verdict.ok
             assert verdict.witness == (0, 0)
             assert verdict == reference_check_write_guarantee(broken, c)
+
+    def test_chair_of_another_dimension(self):
+        col, _ = small_coloring(3)
+        with pytest.raises(DimensionMismatch):
+            check_write_guarantee(col, Chair((2, 2, 2), (1, 1, 1)))
+        with pytest.raises(DimensionMismatch):
+            check_write_guarantee(col, Chair((3,), (1,)))
 
     def test_vacuous_when_chair_does_not_fit(self):
         c = Chair((3, 3), (2, 2))
