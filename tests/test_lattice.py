@@ -563,6 +563,31 @@ class TestChairCycle:
             failed += 1
         assert failed > 300
 
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_other_chair_lattices_past_the_join(self, monkeypatch, k):
+        # the 7^n - k^n chair lattice is not the 7^n - 4^n chair's, so only the
+        # box search decides it against that chair.  For k = 3 its chair holds
+        # the 7/4 chair, which therefore packs, and the volumes differ; for
+        # k = 5 the sum of its rows, 2*(1, ..., 1), is the overlap witness.
+        # The join decides both to n = 10; at n = 11 its half tables of 13^6
+        # entries exceed the default budget and the verdict is BudgetExceeded
+        monkeypatch.delenv("CHAIRCODES_BUDGET", raising=False)
+        for n in (4, 10, 11):
+            lat, c = chair_lattice(Chair((7,) * n, (k,) * n)), Chair((7,) * n, (4,) * n)
+            assert not chair_cycle(c.sides, c.notch, lat.member)
+            if n == 11:
+                with pytest.raises(BudgetExceeded, match="join needs 4826809 items"):
+                    verify_tiling(lat, c)
+                continue
+            verdict = verify_tiling(lat, c)
+            if k == 3:
+                assert verdict == Verdict.failed(
+                    "volume mismatch", lattice_volume=7**n - 3**n, chair_volume=7**n - 4**n)
+            else:
+                assert verdict == Verdict.failed("copies at 0 and witness overlap", (-2,) * n)
+            if n == 4:
+                assert verify_packing(lat, c) == reference_verify_packing(lat, c)
+
     def test_one_candidate_on_packing_lattices(self):
         # for n >= 3, a lattice that packs the chair holds l_j*e_j - k_i*e_i
         # for at most one i != j; a chair lattice over a cycle holds it for

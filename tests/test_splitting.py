@@ -290,7 +290,7 @@ class TestVerifySplitting:
         rng = random.Random(223)
         outcomes = Counter()
         reordered = 0
-        for i in range(2400):
+        for i in range(3000):
             n = rng.randint(2, 6)
             c = random_chair(rng, n, {2: 16, 3: 9, 4: 6, 5: 5, 6: 4}[n])
             s = lattice_to_splitting(chair_lattice(c))
@@ -318,13 +318,13 @@ class TestVerifySplitting:
             if kind == "non-unit":
                 assert real(c.int_sides(), c.int_notch(), lambda v: not any(s.value(v)))
             outcomes[kind, verdict.ok, len(s.divisors) > 1 or permuted] += 1
-        assert sum(decided.values()) > 1200 and decided["constructed", True] > 40
-        assert decided["cycle", False] == 480 and reordered > 100
+        assert sum(decided.values()) > 1500 and decided["constructed", True] > 40
+        assert decided["cycle", False] == 600 and reordered > 100
         assert decided["non-unit", False] == decided["non-unit", True] == 0
         assert outcomes["non-unit", True, False] == outcomes["non-unit", True, True] == 0
-        assert outcomes["non-unit", False, False] > 200 and outcomes["non-unit", False, True] > 60
-        assert outcomes["unit", True, True] > 60 and outcomes["round trip", True, True] > 60
-        assert outcomes["constructed", True, True] > 160
+        assert outcomes["non-unit", False, False] > 250 and outcomes["non-unit", False, True] > 80
+        assert outcomes["unit", True, True] > 80 and outcomes["round trip", True, True] > 80
+        assert outcomes["constructed", True, True] > 200
 
     def test_generates_matches_subgroup_closure(self):
         rng = random.Random(227)
