@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import permutations
-from operator import mul
+from operator import countOf, mul, sub
 from typing import Iterator, Sequence
 
 from .budget import as_int, check_budget, parse_int
@@ -107,18 +107,25 @@ def enumerate_sphere(s: ErrorSphere) -> list[tuple[int, ...]]:
     return out
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class LatticeCode:
     """A lattice packing of the error sphere, with a syndrome table when perfect.
 
     The code is the extension of a linear code over Z_q exactly when the
-    lattice absorbs q along every axis (Lattice.wraps).
+    lattice absorbs q along every axis (Lattice.wraps).  Frozen: it caches for
+    decode its labelling's value map, None if the lattice is rational.
     """
 
     lattice: Lattice
     sphere: ErrorSphere
     perfect: bool
     decode_table: dict[tuple[int, ...], tuple[int, ...]] | None = None
+
+    def __post_init__(self) -> None:
+        if self.lattice.n != self.sphere.n:
+            raise BadParameters(f"generator is {self.lattice.n}-dimensional, sphere has n = {self.sphere.n}")
+        q = self.lattice.labeling() if self.lattice.is_integer else None
+        object.__setattr__(self, "_label", None if q is None else q.value)
 
     def to_json_dict(self) -> dict:
         out = self.sphere.to_json_dict()
@@ -142,8 +149,6 @@ class LatticeCode:
             raise BadParameters(f"magnitudes must be a JSON list, got {mags!r}")
         sphere = ErrorSphere(parse_int(data["n"], "n"), parse_int(data["t"], "t"),
                              tuple(parse_int(m, "a magnitude") for m in mags))
-        if lat.n != sphere.n:
-            raise BadParameters(f"generator is {lat.n}-dimensional, sphere has n = {sphere.n}")
         perfect = data["perfect"]
         if not isinstance(perfect, bool):
             raise BadParameters(f"perfect must be a JSON boolean, got {perfect!r}")
@@ -156,6 +161,7 @@ class LatticeCode:
             for key, err in entries.items():
                 label = tuple(parse_int(r, "a syndrome") for r in key.split(",")) if key else ()
                 table[label] = tuple(parse_int(e, "an error") for e in err.split(","))
+        code = cls(lat, sphere, perfect, table)
         if perfect:
             try:
                 expected = _syndrome_table(lat, sphere)
@@ -164,7 +170,7 @@ class LatticeCode:
             if table != expected:
                 raise BadParameters("code file is marked perfect, but its syndrome table "
                                     "is missing or wrong")
-        return cls(lat, sphere, perfect, table)
+        return code
 
 
 def _syndrome_table(lat: Lattice, sphere: ErrorSphere) -> dict[tuple[int, ...], tuple[int, ...]]:
@@ -199,13 +205,17 @@ def perfect_code(n: int, magnitudes: Sequence[int]) -> LatticeCode:
 
 
 def decode(code: LatticeCode, received: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Split a received word into (codeword, error) via its syndrome."""
+    """Split a received word into (codeword, error) by one coset label and one lookup.
+    Refuses in order: NotPerfect, BadParameters, NonIntegerLattice, DimensionMismatch, KeyError."""
     if not code.perfect or code.decode_table is None:
         raise NotPerfect("decode table is only defined for perfect codes")
-    received = [as_int(x, "a received cell") for x in received]
-    error = code.decode_table[code.lattice.coset_label(received)]
-    codeword = tuple(r - e for r, e in zip(received, error))
-    return codeword, error
+    cells = tuple(received)
+    if countOf(map(type, cells), int) != len(cells):  # a word of plain ints skips as_int
+        cells = tuple([as_int(x, "a received cell") for x in cells])
+    if code._label is None or len(cells) != code.sphere.n:
+        code.lattice.coset_label(cells)  # raises NonIntegerLattice or DimensionMismatch
+    error = code.decode_table[code._label(cells)]
+    return tuple(map(sub, cells, error)), error
 
 
 @dataclass(frozen=True)

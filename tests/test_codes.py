@@ -1,7 +1,10 @@
+import dataclasses
 import math
 import random
+from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +24,7 @@ from chaircodes.codes import (
     perfect_code,
     sphere_size,
 )
-from chaircodes.errors import BadParameters, BudgetExceeded, NotPerfect
+from chaircodes.errors import BadParameters, BudgetExceeded, DimensionMismatch, NonIntegerLattice, NotPerfect
 from chaircodes.exactmath import IntMatrix
 from chaircodes.lattice import Lattice, SplittingSequence, chair_lattice, lattice_points_in_box, verify_tiling
 from chaircodes.splitting import splitting_to_lattice
@@ -125,6 +128,22 @@ class TestPerfectCode:
             code = perfect_code(len(mags), mags)
             assert verify_tiling(code.lattice, code.sphere.as_chair()).ok
 
+    def test_lattice_and_sphere_must_agree_on_n(self):
+        code = perfect_code(3, (1, 1, 1))
+        message = "generator is 3-dimensional, sphere has n = 2"
+        with pytest.raises(BadParameters, match=f"^{message}$"):
+            LatticeCode(code.lattice, ErrorSphere.per_cell((1, 1)), True, code.decode_table)
+        data = code.to_json_dict()
+        data.update(ErrorSphere.per_cell((1, 1)).to_json_dict())
+        with pytest.raises(BadParameters, match=f"^{message}$"):
+            LatticeCode.from_json_dict(data)
+
+    def test_frozen(self):
+        code = perfect_code(3, (1, 1, 1))
+        for field in dataclasses.fields(code):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(code, field.name, getattr(code, field.name))
+
     def test_json_round_trip(self):
         code = perfect_code(3, (1, 1, 1))
         restored = LatticeCode.from_json_dict(code.to_json_dict())
@@ -163,6 +182,41 @@ class TestPerfectCode:
         assert [q for q in range(1, 25) if lat.wraps(q)] == [6, 12, 18, 24]
 
 
+class _Cell(int):
+    """A caller's own integer type."""
+
+
+CUBE_CODE = perfect_code(3, (1, 1, 1))
+NOT_PERFECT = LatticeCode(Lattice([[6, -4], [-4, 6]]), ErrorSphere.uniform(2, 1, 2), perfect=False)
+NO_TABLE = LatticeCode(CUBE_CODE.lattice, CUBE_CODE.sphere, True)
+RATIONAL = LatticeCode(Lattice([[Fraction(1, 2), 0], [0, 1]]), ErrorSphere.per_cell((1, 1)), True, {})
+PARTIAL = LatticeCode(CUBE_CODE.lattice, CUBE_CODE.sphere, True,
+                      {label: e for label, e in CUBE_CODE.decode_table.items() if any(e)})
+NOT_INT = "a received cell must be an integer, got "
+NOT_TABLED = "decode table is only defined for perfect codes"
+NOT_INTEGRAL = "coset labels need an integer lattice"
+DECODE_REFUSALS = {
+    "not perfect": (NOT_PERFECT, (0, 0), NotPerfect, NOT_TABLED),
+    "not perfect, bool cell": (NOT_PERFECT, (True, 0), NotPerfect, NOT_TABLED),
+    "no table": (NO_TABLE, (0, 0, 0), NotPerfect, NOT_TABLED),
+    "bool cell": (CUBE_CODE, (1, True, 0), BadParameters, NOT_INT + "True"),
+    "float cell": (CUBE_CODE, (1.0, 0, 0), BadParameters, NOT_INT + "1.0"),
+    "str cell": (CUBE_CODE, ("1", 0, 0), BadParameters, NOT_INT + "'1'"),
+    "Fraction cell": (CUBE_CODE, (Fraction(1), 0, 0), BadParameters, NOT_INT + "Fraction(1, 1)"),
+    "first bad cell": (CUBE_CODE, [0, 2.5, True], BadParameters, NOT_INT + "2.5"),
+    "bool cell, wrong length": (CUBE_CODE, (True,), BadParameters, NOT_INT + "True"),
+    "rational, bool cell": (RATIONAL, (True, 0), BadParameters, NOT_INT + "True"),
+    "rational": (RATIONAL, (1, 0), NonIntegerLattice, NOT_INTEGRAL),
+    "rational, wrong length": (RATIONAL, (1, 0, 0), NonIntegerLattice, NOT_INTEGRAL),
+    "wrong length": (CUBE_CODE, (1, 0), DimensionMismatch, "point has 2 coordinates, lattice is 3-dimensional"),
+    "wrong length, numpy.int64": (CUBE_CODE, tuple(map(np.int64, (1, 0, 0, 0))), DimensionMismatch,
+                                  "point has 4 coordinates, lattice is 3-dimensional"),
+    "partial table, wrong length": (PARTIAL, (0, 0), DimensionMismatch,
+                                    "point has 2 coordinates, lattice is 3-dimensional"),
+    "partial table": (PARTIAL, (0, 0, 0), KeyError, "(0,)"),
+}
+
+
 class TestDecode:
     def test_codeword_passes_through(self):
         code = perfect_code(3, (1, 1, 1))
@@ -197,6 +251,40 @@ class TestDecode:
         code = LatticeCode(packing_only, ErrorSphere.uniform(2, 1, 2), perfect=False)
         with pytest.raises(NotPerfect):
             decode(code, (0, 0))
+
+    def test_matches_table_free_reference(self):
+        # the reference decodes with no table: the one sphere error e whose
+        # difference with the word is a lattice vector.  Cyclic quotients for
+        # n = 2..5, the multi-factor ones Z_2+Z_16, Z_6+Z_18 and Z_2+Z_34,
+        # and the chair-lattice fallback (2, 2, 3)
+        rng = random.Random(20)
+        mags_list = [(1, 1), (2, 3), (1, 1, 1), (2, 2, 3), (1, 2, 3), (3, 2, 1, 1), (2, 2, 2, 2),
+                     (1, 2, 1, 2), (2, 3, 2, 3), (1, 1, 1, 1, 1), (1, 2, 1, 2, 1)]
+        factors = set()
+        for mags in mags_list:
+            code = perfect_code(len(mags), mags)
+            errors = enumerate_sphere(code.sphere)
+            factors.add(len(code.lattice.labeling().divisors))
+            for _ in range(60):
+                word = [rng.randint(-60, 60) for _ in mags]
+                (e,) = [e for e in errors if code.lattice.member([r - x for r, x in zip(word, e)])]
+                expected = (tuple(r - x for r, x in zip(word, e)), e)
+                for cells in (tuple(word), list(word), (x for x in word),
+                              tuple(map(np.int64, word)), tuple(map(_Cell, word))):
+                    got = decode(code, cells)
+                    assert got == expected
+                    assert all(type(part) is tuple for part in got)
+                    assert all(type(x) is int for part in got for x in part)
+        assert factors == {1, 2}
+
+    @pytest.mark.parametrize("case", DECODE_REFUSALS.keys())
+    def test_refusal_order(self, case):
+        # the order decode's docstring names, each with its exact type and message
+        code, word, exc_type, message = DECODE_REFUSALS[case]
+        with pytest.raises(exc_type) as info:
+            decode(code, word)
+        assert type(info.value) is exc_type
+        assert str(info.value) == message
 
 
 class TestNPlusMinus:
