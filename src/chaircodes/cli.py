@@ -125,6 +125,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.m is not None or args.beta is not None:
         if args.m is None or args.beta is None:
             raise BadParameters("--m and --beta must be given together")
+        if args.generator or args.torus:
+            raise BadParameters("--generator and --torus check a lattice, not an --m/--beta splitting")
         beta = _parse_int_vector(args.beta)
         if len(beta) != c.n:
             raise BadParameters(f"--beta has {len(beta)} residues, chair is {c.n}-dimensional")
@@ -138,7 +140,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         else:
             lat = chair_lattice(c)
         verdicts["tiling"] = verify_tiling(lat, c)
-        if args.torus and lat.is_integer and c.is_discrete:
+        if args.torus:
             verdicts["torus"] = torus_tiling_oracle(lat, c)
     report = {
         "command": "verify",

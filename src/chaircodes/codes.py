@@ -144,6 +144,9 @@ class LatticeCode:
         syndrome table its lattice and sphere determine; BadParameters if not,
         or if the file does not have the shape to_json_dict writes."""
         lat = Lattice.from_json_dict(data)
+        for field in ("n", "t", "magnitudes", "perfect"):
+            if field not in data:
+                raise BadParameters(f"code file has no {field!r} field")
         mags = data["magnitudes"]
         if not isinstance(mags, list):
             raise BadParameters(f"magnitudes must be a JSON list, got {mags!r}")

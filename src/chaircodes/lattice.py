@@ -245,18 +245,15 @@ class Lattice:
         lattice), so that coordinates may be taken modulo q."""
         return all(self.member([q if j == i else 0 for j in range(self.n)]) for i in range(self.n))
 
-    def same_lattice(self, other: Lattice) -> bool:
+    def __eq__(self, other: object) -> bool:
         """Equal lattices have equal scales, hence equal integer models."""
+        if not isinstance(other, Lattice):
+            return NotImplemented
         return (
             self.n == other.n
             and self.scale == other.scale
             and self.integer_model().canonical() == other.integer_model().canonical()
         )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Lattice):
-            return NotImplemented
-        return self.same_lattice(other)
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -269,6 +266,8 @@ class Lattice:
     @classmethod
     def from_json_dict(cls, data: dict) -> Lattice:
         """Read {"generator": [[...], ...]}; BadParameters for another shape."""
+        if isinstance(data, dict) and "generator" not in data:
+            raise BadParameters("file has no 'generator' field")
         rows = data["generator"] if isinstance(data, dict) else None
         if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
             raise BadParameters("expected a JSON object whose generator is a list of rows")

@@ -12,12 +12,12 @@ import math
 import struct
 from dataclasses import dataclass
 from itertools import chain, product
-from typing import IO, Callable, Iterator, Sequence
+from typing import IO, Iterator, Sequence
 
 from .budget import as_int, check_budget
 from .chair import Chair, enumerate_points, volume
 from .errors import BadParameters, DimensionMismatch, NotATiling
-from .lattice import Lattice, SplittingSequence, Verdict
+from .lattice import Lattice, Verdict
 
 
 @dataclass(eq=False)
@@ -48,6 +48,8 @@ def build_coloring(lat: Lattice, c: Chair, q: int) -> Coloring:
     The label index is the tiling proof: the lattice's index equals the
     chair's volume and the chair's points have that many distinct labels, so
     every coset holds exactly one chair point.  Raises NotATiling otherwise.
+    The grid is built row by row.  Along a row the labels are g + x*label(e_n),
+    g the label at x = 0, so the rows that share g are built once.
     """
     q = as_int(q, "q")
     if q < 1:
@@ -59,24 +61,16 @@ def build_coloring(lat: Lattice, c: Chair, q: int) -> Coloring:
     if len(index) != vol:
         raise NotATiling(f"the chair's {vol} points fall in only {len(index)} cosets")
     check_budget(q**c.n, None, "coloring grid")
-    rows = _grid_rows(lat.labeling(), [range(q)] * c.n, lambda gs: [index[g] for g in gs])
-    return Coloring(q, c.n, len(index), tuple(chain.from_iterable(rows)), lat, c)
-
-
-def _grid_rows(s: SplittingSequence, ranges: Sequence[range],
-               row: Callable[[list[tuple[int, ...]]], object]) -> list:
-    """row(the values of a row's cells) for each row of the grid
-    product(*ranges), in order.  Along a row the values are g + x*value(e_n),
-    g the value at x = 0, so the rows that share g share one call."""
-    firsts = s.box_values(ranges[:-1])
-    gs = list(zip(*firsts)) if firsts else [()] * math.prod(map(len, ranges[:-1]))
-    steps = [[x * r[-1] for x in ranges[-1]] for r in s.residues]
-    rows: dict[tuple[int, ...], object] = {}
+    s = lat.labeling()
+    firsts = s.box_values([range(q)] * (c.n - 1))
+    gs = list(zip(*firsts)) if firsts else [()] * q ** (c.n - 1)
+    steps = [[x * r[-1] for x in range(q)] for r in s.residues]
+    rows: dict[tuple[int, ...], list[int]] = {}
     for g in gs:
         if g not in rows:
-            values = zip(*[[(a + t) % d for t in st] for a, st, d in zip(g, steps, s.divisors)])
-            rows[g] = row(list(values) or [()] * len(ranges[-1]))
-    return [rows[g] for g in gs]
+            labels = zip(*[[(a + t) % d for t in st] for a, st, d in zip(g, steps, s.divisors)])
+            rows[g] = [index[v] for v in list(labels) or [()] * q]
+    return Coloring(q, c.n, len(index), tuple(chain.from_iterable(rows[g] for g in gs)), lat, c)
 
 
 _BIT_TABLES = [bytes(48 | b >> j & 1 for b in range(256)) for j in range(8)]  # byte -> b"0"/b"1", bit j

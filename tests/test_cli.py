@@ -119,8 +119,8 @@ class TestConstruct:
     def test_reordered_splitting_past_the_join(self, capsys, monkeypatch):
         # k_4 = 5 shares a factor with the volume, so the splitting puts
         # coordinate 3 first; its kernel is the lattice of the chair's rows
-        # in that order, which chair_cycle finds instead of a join of
-        # 89,813,529 labels per half
+        # in that order, which chair_cycle finds instead of a scan of every
+        # chair point
         monkeypatch.delenv("CHAIRCODES_BUDGET", raising=False)
         l, k = "5,5,7,7,5,5,5,5,5,5,5,5,5,5,7,7", "4,4,3,5,4,2,2,4,4,1,1,4,2,1,6,4"
         rc, out, _ = run_cli(capsys, "construct", "--l", l, "--k", k)
@@ -212,8 +212,8 @@ class TestVerify:
     def test_beta_in_another_cycle_order(self, capsys, monkeypatch):
         # beta has value 0 on 7*e_j - 4*e_i along the cycle
         # 0 -> 11 -> 10 -> ... -> 1 -> 0, not the chair's own order, and
-        # chair_cycle decides it; the join's half tables of 13^6 labels would
-        # exceed the budget
+        # chair_cycle decides it; a scan of the chair's 7^12 - 4^12 points
+        # would exceed the budget
         monkeypatch.delenv("CHAIRCODES_BUDGET", raising=False)
         n, m = 12, 7**12 - 4**12
         alpha = 7 * pow(4, -1, m) % m
@@ -231,6 +231,20 @@ class TestVerify:
         assert rc == 0
         assert report_of(out)["verdicts"] == {"splitting": {"ok": True, "detail": {"values": str(m)}}}
         assert decided == [True]
+
+    @pytest.mark.parametrize("argv, error", [
+        (["--l", "5/2,3/2", "--k", "3/2,1/2", "--torus"], "NotDiscrete"),
+        (["--l", "3,3", "--k", "2,2", "--generator", "RATIONAL", "--torus"], "NonIntegerLattice"),
+        (["--l", "2,2", "--k", "1,1", "--m", "3", "--beta", "1,2", "--torus"], "BadParameters"),
+        (["--l", "2,2", "--k", "1,1", "--m", "3", "--beta", "1,2", "--generator", "RATIONAL"], "BadParameters"),
+    ], ids=["torus, rational chair", "torus, rational generator", "torus with --m", "generator with --m"])
+    def test_unused_inputs_refused(self, capsys, tmp_path, argv, error):
+        # each of these inputs was ignored, and verify exited 0
+        path = tmp_path / "lat.json"
+        path.write_text(json.dumps({"generator": [["5/2", "0"], ["0", "2"]]}))
+        rc, out, err = run_cli(capsys, "verify", *[str(path) if a == "RATIONAL" else a for a in argv])
+        assert (rc, out) == (2, "")
+        assert json.loads(err)["error"]["type"] == error
 
     def test_generator_file(self, capsys, tmp_path):
         path = tmp_path / "lat.json"

@@ -15,6 +15,7 @@ from chaircodes.errors import (
     BudgetExceeded,
     DimensionMismatch,
     NonIntegerLattice,
+    NotATiling,
     NotDiscrete,
     SingularMatrix,
 )
@@ -34,6 +35,7 @@ from chaircodes.lattice import (
     verify_tiling,
 )
 from chaircodes.splitting import splitting_to_lattice
+from chaircodes.wom import build_coloring
 
 from oracles import (
     all_valid_chairs,
@@ -471,6 +473,28 @@ def _mixed(rng: random.Random, rows):
     return [[sum(a * r[t] for a, r in zip(urow, rows)) for t in range(len(rows))] for urow in u]
 
 
+CYCLE_KINDS = ("cycle", "unimodular", "hermite", "rational")
+
+
+def _cycle_lattice_sweep():
+    """1,200 seeded (kind, chair, lattice) with the lattice spanned by a
+    random cycle's rows, in that basis, a random unimodular or the Hermite
+    basis, and for rational chairs."""
+    rng = random.Random(233)
+    caps = {1: 20, 2: 12, 3: 6, 4: 4, 5: 3, 6: 3}
+    for t in range(1200):
+        kind = CYCLE_KINDS[t % len(CYCLE_KINDS)]
+        n = rng.randint(1, 6) if kind != "rational" else rng.randint(1, 3)
+        c = random_rational_chair(rng, n) if kind == "rational" else random_chair(rng, n, caps[n])
+        rows = _random_cycle_rows(rng, c)
+        if kind in ("unimodular", "rational"):
+            rows = _mixed(rng, rows)
+        lat = Lattice(rows)
+        if kind == "hermite":
+            lat = Lattice(lat.canonical().transpose().entries)
+        yield kind, c, lat
+
+
 class TestChairCycle:
     def test_follows_the_cycle_greedily(self):
         # the lattice of the cycle 0 -> 2 -> 1 -> 0: coordinate 0 tries 1,
@@ -485,7 +509,7 @@ class TestChairCycle:
 
         assert chair_cycle(c.sides, c.notch, member)
         assert asked == [(5, -3, 0), (5, 0, -1), (0, -3, 3), (-3, 4, 0)]
-        assert not chair_lattice(c).same_lattice(lat)
+        assert chair_lattice(c) != lat
 
     def test_one_and_two_dimensions(self):
         assert chair_cycle((5,), (2,), Lattice([[3]]).member)
@@ -516,27 +540,26 @@ class TestChairCycle:
             return ok
 
         monkeypatch.setattr(lattice_module, "chair_cycle", counting)
-        rng = random.Random(233)
-        caps = {1: 20, 2: 12, 3: 6, 4: 4, 5: 3, 6: 3}
-        kinds = ("cycle", "unimodular", "hermite", "rational")
         cases = Counter()
-        for t in range(1200):
-            kind = kinds[t % len(kinds)]
-            n = rng.randint(1, 6) if kind != "rational" else rng.randint(1, 3)
-            c = random_rational_chair(rng, n) if kind == "rational" else random_chair(rng, n, caps[n])
-            rows = _random_cycle_rows(rng, c)
-            if kind in ("unimodular", "rational"):
-                rows = _mixed(rng, rows)
-            lat = Lattice(rows)
-            if kind == "hermite":
-                lat = Lattice(lat.canonical().transpose().entries)
-            assert verify_tiling(lat, c) == Verdict.passed(), (kind, c, rows)
+        for kind, c, lat in _cycle_lattice_sweep():
+            assert verify_tiling(lat, c) == Verdict.passed(), (kind, c, lat)
             assert reference_verify_packing(lat, c).ok and lat.volume == volume(c)
             if kind != "rational":
-                assert torus_tiling_oracle(lat, c).ok, (kind, c, rows)
-            cases[kind, n] += 1
-        assert decided == Counter({kind: 300 for kind in kinds})
-        assert all(cases[kind, n] > 30 for kind in kinds[:3] for n in range(1, 7))
+                assert torus_tiling_oracle(lat, c).ok, (kind, c, lat)
+            cases[kind, c.n] += 1
+        assert decided == Counter({kind: 300 for kind in CYCLE_KINDS})
+        assert all(cases[kind, n] > 30 for kind in CYCLE_KINDS[:3] for n in range(1, 7))
+
+    def test_box_search_passes_cycle_lattices(self, monkeypatch):
+        # with chair_cycle made to fail, the box search alone passes every
+        # lattice of the sweep above; each box fits the default budget
+        monkeypatch.delenv("CHAIRCODES_BUDGET", raising=False)
+        monkeypatch.setattr(lattice_module, "chair_cycle", lambda sides, notch, member: False)
+        passed = Counter()
+        for kind, c, lat in _cycle_lattice_sweep():
+            assert verify_tiling(lat, c) == Verdict.passed(), (kind, c, lat)
+            passed[kind] += 1
+        assert passed == Counter({kind: 300 for kind in CYCLE_KINDS})
 
     def test_superlattices_fail(self):
         # a superlattice of a chair lattice holds the cycle's rows too, but
@@ -847,3 +870,32 @@ class TestEqualVolumeSublattices:
                     rejected += 1
                 checked += 1
         assert checked > 4000 and 0 < rejected < checked
+
+
+SQUARE = Chair((3, 3), (2, 2))
+CUBE = Chair((2, 2, 2), (1, 1, 1))
+
+TYPED_REFUSALS = {
+    "verify_packing, 2-D lattice, 3-D chair":
+        (lambda: verify_packing(chair_lattice(SQUARE), CUBE), DimensionMismatch, "lattice is 2-dimensional"),
+    "torus oracle, 2-D lattice, 3-D chair":
+        (lambda: torus_tiling_oracle(chair_lattice(SQUARE), CUBE), DimensionMismatch, "lattice is 2-dimensional"),
+    "torus oracle, rational lattice":
+        (lambda: torus_tiling_oracle(Lattice([[Fraction(5, 2), 0], [0, 2]]), SQUARE), NonIntegerLattice,
+         "needs an integer lattice"),
+    "member, 3 coordinates":
+        (lambda: chair_lattice(SQUARE).member((1, 2, 3)), DimensionMismatch, "point has 3 coordinates"),
+    "box_join, 3 bounds":
+        (lambda: next(box_join(chair_lattice(SQUARE).labeling(), [1, 1, 1])), DimensionMismatch,
+         "3 bounds for 2 coordinates"),
+    # diag(5, 1) has the chair's volume, but (0, 0), (0, 1) and (0, 2) share a coset
+    "build_coloring, diag(5, 1)":
+        (lambda: build_coloring(Lattice([[5, 0], [0, 1]]), SQUARE, 4), NotATiling,
+         "the chair's 5 points fall in only 3 cosets"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", TYPED_REFUSALS.values(), ids=TYPED_REFUSALS.keys())
+def test_typed_refusal(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

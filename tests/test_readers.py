@@ -37,6 +37,12 @@ def _code_file(**changes) -> dict:
     return data
 
 
+def _without(field: str) -> dict:
+    data = CODE.to_json_dict()
+    del data[field]
+    return data
+
+
 def _table_entry(old: str, new: str) -> dict:
     data = CODE.to_json_dict()
     data["table"] = {k: (new if v == old else v) for k, v in data["table"].items()}
@@ -152,7 +158,10 @@ MALFORMED_FILES = {
     "decode, top-level list": (DECODE_FILE, [CODE.to_json_dict()]),
     "decode, not perfect, 2x2 generator":
         (DECODE_FILE, _code_file(perfect=False, generator=[["2", "1"], ["1", "3"]])),
+    **{f"decode, no {field}": (DECODE_FILE, _without(field))
+       for field in ("generator", "n", "t", "magnitudes", "perfect")},
     "verify, generator 7": (VERIFY_FILE, {"generator": 7}),
+    "verify, no generator": (VERIFY_FILE, {"rows": [["3", "0"], ["0", "1"]]}),
     "verify, top-level list": (VERIFY_FILE, [1, 2]),
     "verify, rows as text": (VERIFY_FILE, {"generator": ["21", "12"]}),
 }
@@ -166,6 +175,13 @@ def test_malformed_file_refused(capsys, tmp_path, argv, content):
     captured = capsys.readouterr()
     assert (rc, captured.out) == (2, "")
     assert json.loads(captured.err)["error"]["type"] == "BadParameters"
+
+
+@pytest.mark.parametrize("field", ["generator", "n", "t", "magnitudes", "perfect"])
+def test_missing_field_named(field):
+    # the file was refused with a bare KeyError whose message was the field
+    with pytest.raises(BadParameters, match=f"has no '{field}' field"):
+        LatticeCode.from_json_dict(_without(field))
 
 
 @pytest.mark.parametrize("integer", [int, np.int64], ids=["int", "numpy.int64"])

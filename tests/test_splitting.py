@@ -211,8 +211,8 @@ class TestVerifySplitting:
         s = general_chair_splitting(c)
         monkeypatch.setenv("CHAIRCODES_BUDGET", str(13**4))
         assert verify_splitting(c, s) == Verdict.passed(values=7**8 - 4**8)
-        # a wrong labelling: the join on its half-boxes of 13^4 values finds
-        # overlaps, and the scan of all 5,699,265 chair points is over budget
+        # a wrong labelling is decided by the scan of all 5,699,265 chair
+        # points, which is over budget
         wrong = SplittingSequence.cyclic(s.order, (1,) * 8)
         with pytest.raises(BudgetExceeded):
             verify_splitting(c, wrong)
@@ -220,8 +220,9 @@ class TestVerifySplitting:
         assert verify_splitting(c, s) == Verdict.passed(values=7**8 - 4**8)
 
     def test_long_side_enumerates(self, monkeypatch):
-        # half tables of 1,999 values against 999 chair points: the chair is
-        # labelled point by point, inside a budget of 1,000
+        # the certificate passes beta = 2 and 1, 600; beta = 3 does not
+        # generate Z_999, so the chair's 999 points are labelled one by one,
+        # inside a budget of 1,000
         monkeypatch.setenv("CHAIRCODES_BUDGET", "1000")
         c = Chair((1000,), (1,))
         assert verify_splitting(c, SplittingSequence.cyclic(999, (2,))) == Verdict.passed(values=999)
@@ -287,32 +288,12 @@ class TestVerifySplitting:
             return ok
 
         monkeypatch.setattr(splitting, "chair_cycle", counting)
-        rng = random.Random(223)
         outcomes = Counter()
         reordered = 0
-        for i in range(3000):
-            n = rng.randint(2, 6)
-            c = random_chair(rng, n, {2: 16, 3: 9, 4: 6, 5: 5, 6: 4}[n])
-            s = lattice_to_splitting(chair_lattice(c))
-            kind = ("round trip", "unit", "non-unit", "constructed", "cycle")[i % 5]
-            factors = [j for j, d in enumerate(s.divisors) if d > 1]
-            if kind == "constructed":
-                try:
-                    s = general_chair_splitting(c)
-                except HypothesisViolated:
-                    pass
-            elif kind == "cycle":
-                s = _cycle_labelling(rng, c) or s
+        for kind, c, s in _certificate_sweep():
+            if kind == "cycle":
                 reordered += splitting_to_lattice(s) != chair_lattice(c)
-            elif kind != "round trip" and factors:
-                j = rng.choice(factors)
-                d = s.divisors[j]
-                units = [u for u in range(1, d) if math.gcd(u, d) == 1]
-                others = [u for u in range(2, d) if math.gcd(u, d) > 1] or [0]
-                u = rng.choice(units if kind == "unit" else others)
-                residues = [tuple(b * u for b in row) if t == j else row for t, row in enumerate(s.residues)]
-                s = SplittingSequence(s.divisors, residues)
-            permuted = s.permutation != tuple(range(n))
+            permuted = s.permutation != tuple(range(c.n))
             verdict = verify_splitting(c, s)
             assert verdict == reference_verify_splitting(c, s), (kind, c, s)
             if kind == "non-unit":
@@ -325,6 +306,18 @@ class TestVerifySplitting:
         assert outcomes["non-unit", False, False] > 250 and outcomes["non-unit", False, True] > 80
         assert outcomes["unit", True, True] > 80 and outcomes["round trip", True, True] > 80
         assert outcomes["constructed", True, True] > 200
+
+    def test_scan_passes_what_the_certificate_passes(self, monkeypatch):
+        # with chair_cycle made to fail, the point scan alone passes every
+        # labelling of the sweep above that the certificate passes
+        real = splitting.chair_cycle
+        monkeypatch.setattr(splitting, "chair_cycle", lambda sides, notch, member: False)
+        passed = Counter()
+        for kind, c, s in _certificate_sweep():
+            if splitting._generates(s) and real(c.int_sides(), c.int_notch(), lambda v: not any(s.value(v))):
+                assert verify_splitting(c, s) == Verdict.passed(values=int(volume(c))), (kind, c, s)
+                passed[kind] += 1
+        assert passed == Counter({kind: 600 for kind in ("round trip", "unit", "constructed", "cycle")})
 
     def test_generates_matches_subgroup_closure(self):
         rng = random.Random(227)
@@ -479,6 +472,35 @@ class TestLabelingOracle:
         assert lat.coset_label(p) == lat.coset_label(same)
         assert lat.labeling().order == lat.volume
         assert splitting_to_lattice(lattice_to_splitting(lat)) == lat
+
+
+def _certificate_sweep():
+    """3,000 seeded (kind, chair, labelling) whose kernel holds a cycle's
+    rows: round trips, their residues times a unit or a non-unit, constructed
+    splittings, and cyclic labellings over a random coordinate cycle."""
+    rng = random.Random(223)
+    for i in range(3000):
+        n = rng.randint(2, 6)
+        c = random_chair(rng, n, {2: 16, 3: 9, 4: 6, 5: 5, 6: 4}[n])
+        s = lattice_to_splitting(chair_lattice(c))
+        kind = ("round trip", "unit", "non-unit", "constructed", "cycle")[i % 5]
+        factors = [j for j, d in enumerate(s.divisors) if d > 1]
+        if kind == "constructed":
+            try:
+                s = general_chair_splitting(c)
+            except HypothesisViolated:
+                pass
+        elif kind == "cycle":
+            s = _cycle_labelling(rng, c) or s
+        elif kind != "round trip" and factors:
+            j = rng.choice(factors)
+            d = s.divisors[j]
+            units = [u for u in range(1, d) if math.gcd(u, d) == 1]
+            others = [u for u in range(2, d) if math.gcd(u, d) > 1] or [0]
+            u = rng.choice(units if kind == "unit" else others)
+            residues = [tuple(b * u for b in row) if t == j else row for t, row in enumerate(s.residues)]
+            s = SplittingSequence(s.divisors, residues)
+        yield kind, c, s
 
 
 def _cycle_labelling(rng: random.Random, c: Chair) -> SplittingSequence | None:
