@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, product
 from typing import Sequence
 
 from .budget import check_budget
@@ -102,30 +103,17 @@ def contains(c: Chair, p: Sequence[Scalar]) -> bool:
 
 
 def enumerate_points(c: Chair) -> list[tuple[int, ...]]:
-    """All integer points of a discrete chair in lexicographic order."""
+    """All integer points of a discrete chair in lexicographic order.
+
+    The chair is the disjoint union of n boxes: box i holds the points whose
+    first coordinate below its free side l_j - k_j is coordinate i."""
     if not c.is_discrete:
         raise NotDiscrete("only discrete chairs can be enumerated")
     check_budget(int(volume(c)), None, "chair enumeration")
-    sides = c.int_sides()
-    notch = c.int_notch()
-    n = c.n
-    out: list[tuple[int, ...]] = []
-    point = [0] * n
-
-    def rec(i: int, satisfied: bool) -> None:
-        if i == n:
-            out.append(tuple(point))
-            return
-        free = sides[i] - notch[i]
-        # once every later coordinate would have to stay in the notch range,
-        # restrict the last coordinate so only genuine chair points are built
-        top = sides[i] if (satisfied or i < n - 1) else free
-        for x in range(top):
-            point[i] = x
-            rec(i + 1, satisfied or x < free)
-
-    rec(0, False)
-    return out
+    notched = [range(l - k, l) for l, k in zip(c.sides, c.notch)]
+    free = [range(l - k) for l, k in zip(c.sides, c.notch)]
+    full = [range(l) for l in c.sides]
+    return sorted(chain.from_iterable(product(*notched[:i], free[i], *full[i + 1:]) for i in range(c.n)))
 
 
 def shifted_copies_intersect(c: Chair, x: Sequence[Scalar]) -> bool:

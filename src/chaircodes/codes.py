@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
+from functools import cache
+from itertools import chain, combinations, permutations, product
 from operator import countOf, mul, sub
 from typing import Iterator, Sequence
 
@@ -49,6 +50,8 @@ class ErrorSphere:
         mags = tuple(as_int(x, "a magnitude") for x in self.magnitudes)
         if len(mags) != n:
             raise BadParameters(f"{n} cells but {len(mags)} magnitudes")
+        if n < 1:
+            raise BadParameters(f"need n >= 1, got {n}")
         if not 0 <= t <= n:
             raise BadParameters(f"need 0 <= t <= n, got t={t}, n={n}")
         if any(m < 1 for m in mags):
@@ -86,25 +89,12 @@ class ErrorSphere:
 
 
 def enumerate_sphere(s: ErrorSphere) -> list[tuple[int, ...]]:
-    """All error vectors of the sphere in lexicographic order."""
+    """All error vectors of the sphere in lexicographic order: for each set
+    of at most t raised cells, the box of their levels 1..m_i."""
     check_budget(s.size, None, "sphere enumeration")
-    out: list[tuple[int, ...]] = []
-    point = [0] * s.n
-
-    def rec(i: int, nonzero: int) -> None:
-        if i == s.n:
-            out.append(tuple(point))
-            return
-        point[i] = 0
-        rec(i + 1, nonzero)
-        if nonzero < s.t:
-            for x in range(1, s.magnitudes[i] + 1):
-                point[i] = x
-                rec(i + 1, nonzero + 1)
-            point[i] = 0
-
-    rec(0, 0)
-    return out
+    return sorted(chain.from_iterable(
+        product(*[range(1, m + 1) if i in cells else (0,) for i, m in enumerate(s.magnitudes)])
+        for w in range(s.t + 1) for cells in combinations(range(s.n), w)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,23 +264,26 @@ def _sorted_detail(detail: dict[str, object]) -> tuple[tuple[str, str], ...]:
     return tuple((k, str(v)) for k, v in sorted(detail.items()))
 
 
+@cache
 def _index_sublattice_count(n: int, s: int) -> int:
-    total = 0
-    for diag in _ordered_factorizations(s, n):
-        weight = 1
-        for i, d in enumerate(diag):
-            weight *= d**i
-        total += weight
-    return total
+    """The sublattices of Z^n of index s, counted as Hermite forms by their
+    last diagonal entry d: the d^(n-1) entries left of it are reduced modulo d.
+    Cached, so a call costs n times the divisors of s rather than one step
+    per ordered factorization of s."""
+    if n == 1:
+        return 1
+    return sum(d ** (n - 1) * _index_sublattice_count(n - 1, s // d) for d in range(1, s + 1) if s % d == 0)
 
 
-def _ordered_factorizations(s: int, n: int) -> Iterator[tuple[int, ...]]:
+def _invariant_factors(s: int, n: int, base: int = 1) -> Iterator[tuple[int, ...]]:
+    """Every chain d_1 | d_2 | ... | d_n of product s with base | d_1, in
+    lexicographic order: each d_1 with d_1^n | s, then the chains of s / d_1."""
     if n == 1:
         yield (s,)
         return
-    for d in range(1, s + 1):
-        if s % d == 0:
-            for rest in _ordered_factorizations(s // d, n - 1):
+    for d in range(base, s + 1, base):
+        if s % d**n == 0:
+            for rest in _invariant_factors(s // d, n - 1, d):
                 yield (d,) + rest
 
 
@@ -470,38 +463,26 @@ def _cyclic_kernel(labels: Sequence[int], d: int) -> list[list[int]]:
 def _orbit_least(divs: Sequence[int]) -> list[int]:
     """For each element of Z_d1 + ... + Z_dk, numbered as in _Group, the least
     number in its orbit under the automorphisms of the group; gcd(x, s) in
-    Z_s.  Two elements of a finite abelian p-group share an orbit exactly when
-    their Ulm sequences agree: the heights of x, p x, p^2 x, ... (Kaplansky,
-    Infinite Abelian Groups).  The automorphisms act on each p-part on its
-    own.  If digit c of x has valuation v_c in its p-part Z_{p^e_c} (e_c when
-    it is 0 there), p^j x has height min(v_c + j) over the c with
-    v_c + j < e_c, and -1 stands for the height of 0."""
+    Z_s.  Two elements share an orbit exactly when, for every divisor b of
+    the group's exponent, they have the same order modulo bG (Kaplansky,
+    Infinite Abelian Groups, read on each p-part with b = p^j).  If digit c
+    of x has gcd g_c with d_c, that order is the lcm over c of
+    gcd(b, d_c) / gcd(b, g_c)."""
     s = math.prod(divs)
     strides = [math.prod(divs[c + 1:]) for c in range(len(divs))]
-    primes = [p for p in range(2, s + 1) if s % p == 0 and all(p % q for q in range(2, p))]
-    exps = [[_valuation(d, p) for d in divs] for p in primes]
+    exponent = math.lcm(*divs)
+    bs = [b for b in range(1, exponent + 1) if exponent % b == 0]
     orbits: dict[tuple, int] = {}  # gcds of the digits with their factors -> least
-    first: dict[tuple, int] = {}  # Ulm sequences -> the first element with them
+    first: dict[tuple, int] = {}  # orders modulo each bG -> the first element with them
     least = []
     for x in range(s):
         key = tuple(math.gcd(x // stride % d, d) for d, stride in zip(divs, strides))
         if key not in orbits:
-            # the gcd of a digit with p^e_c | d_c keeps the digit's valuation up to e_c
-            vals = [[_valuation(g, p) for g in key] for p in primes]
-            ulm = tuple(tuple(min((v + j for v, e in zip(vs, es) if v + j < e), default=-1)
-                              for j in range(max(es)))
-                        for vs, es in zip(vals, exps))
-            orbits[key] = first.setdefault(ulm, x)
+            orders = tuple(math.lcm(*(math.gcd(b, d) // math.gcd(b, g) for d, g in zip(divs, key)))
+                           for b in bs)
+            orbits[key] = first.setdefault(orders, x)
         least.append(orbits[key])
     return least
-
-
-def _valuation(a: int, p: int) -> int:
-    v = 0
-    while a % p == 0:
-        a //= p
-        v += 1
-    return v
 
 
 def exhaustive_perfect_search(n: int, t: int, ell: int, budget: int | None = None) -> SearchVerdict:
@@ -545,10 +526,8 @@ def exhaustive_perfect_search(n: int, t: int, ell: int, budget: int | None = Non
         return SearchVerdict("Found", examined=examined, found=(IntMatrix.identity(n),))
     found: set[tuple[tuple[int, ...], ...]] = set()
     # each abelian group of order s with at most n invariant factors d_i | d_i+1,
-    # padded on the left with 1s: one ordered factorization each
-    for diag in _ordered_factorizations(s, n):
-        if any(b % a for a, b in zip(diag, diag[1:])):
-            continue
+    # padded on the left with 1s
+    for diag in _invariant_factors(s, n):
         group = _Group([d for d in diag if d > 1])
         kept = {group.kernel(beta): beta for beta in group.splittings(n, t, ell)}
         for h, beta in kept.items():

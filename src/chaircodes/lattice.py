@@ -25,7 +25,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import compress, product
 from typing import Callable, Iterator, Sequence
 
 from . import exactmath
@@ -299,15 +299,6 @@ def _value_keys(s: SplittingSequence, ranges: Sequence[range], start: int, sign:
     return keys
 
 
-def _box_point(ranges: Sequence[range], i: int) -> tuple[int, ...]:
-    """The i-th point of product(*ranges)."""
-    x = []
-    for r in reversed(ranges):
-        i, j = divmod(i, len(r))
-        x.append(r[j])
-    return tuple(reversed(x))
-
-
 def join_size(bounds: Sequence[int]) -> int:
     """Entries in the larger half table of box_join over the box |x_i| <= bounds[i]."""
     return _split([max(2 * b + 1, 0) for b in bounds])[0]
@@ -337,11 +328,12 @@ def box_join(s: SplittingSequence, bounds: Sequence[int]) -> Iterator[tuple[int,
     keys_a = _value_keys(s, prefix, 0, 1)
     keys_b = _value_keys(s, suffix, a, -1)
     completions: dict[int, list[tuple[int, ...]]] = {k: [] for k in set(keys_a).intersection(keys_b)}
-    for j in [j for j, k in enumerate(keys_b) if k in completions]:
-        completions[keys_b[j]].append(_box_point(suffix, j))
-    for i in [i for i, k in enumerate(keys_a) if k in completions]:
-        xa = _box_point(prefix, i)
-        for xb in completions[keys_a[i]]:
+    hits = [k in completions for k in keys_b]
+    for xb, k in zip(compress(product(*suffix), hits), compress(keys_b, hits)):
+        completions[k].append(xb)
+    hits = [k in completions for k in keys_a]
+    for xa, k in zip(compress(product(*prefix), hits), compress(keys_a, hits)):
+        for xb in completions[k]:
             yield xa + xb
 
 

@@ -67,8 +67,7 @@ def general_chair_splitting(c: Chair) -> SplittingSequence:
     for j in range(n - 1):
         l_j = sides[perm[j]]
         k_next = notch[perm[j + 1]]
-        inv = mod_inverse(k_next, m) if m > 1 else 0
-        beta_internal.append(inv * l_j * beta_internal[j] % m)
+        beta_internal.append(mod_inverse(k_next, m) * l_j * beta_internal[j] % m)
     beta = [0] * n
     for j, orig in enumerate(perm):
         beta[orig] = beta_internal[j]

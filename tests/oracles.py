@@ -11,6 +11,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import product
+from typing import Iterator
 
 import numpy as np
 
@@ -19,8 +20,6 @@ from chaircodes.chair import Chair, as_exact, enumerate_points, shifted_copies_i
 from chaircodes.codes import (
     ErrorSphere,
     SearchVerdict,
-    _index_sublattice_count,
-    _ordered_factorizations,
     enumerate_sphere,
     sphere_size,
 )
@@ -116,6 +115,27 @@ def all_valid_chairs(n: int, max_side: int):
         yield Chair(tuple(l for l, _ in combo), tuple(k for _, k in combo))
 
 
+def _ordered_factorizations(s: int, n: int) -> Iterator[tuple[int, ...]]:
+    if n == 1:
+        yield (s,)
+        return
+    for d in range(1, s + 1):
+        if s % d == 0:
+            for rest in _ordered_factorizations(s // d, n - 1):
+                yield (d,) + rest
+
+
+def reference_index_sublattice_count(n: int, s: int) -> int:
+    """The index-s sublattices of Z^n: one Hermite form per entry of each
+    ordered factorization d of s below the diagonal, prod d_i^i of them."""
+    return sum(math.prod(d**i for i, d in enumerate(diag)) for diag in _ordered_factorizations(s, n))
+
+
+def reference_invariant_factors(s: int, n: int) -> list[tuple[int, ...]]:
+    """The ordered factorizations of s into n parts that form a divisor chain."""
+    return [diag for diag in _ordered_factorizations(s, n) if not any(b % a for a, b in zip(diag, diag[1:]))]
+
+
 def hnf_candidates(n: int, s: int):
     # lower-triangular column bases as plain row tuples: diagonal product s,
     # entries left of the diagonal reduced modulo it — each index-s sublattice
@@ -143,7 +163,7 @@ def reference_hnf_search(n: int, t: int, ell: int, budget: int | None = None) ->
     candidate is skipped, so this is the plain loop the library's pruned
     column search must agree with."""
     s = sphere_size(n, t, ell)
-    check_budget(_index_sublattice_count(n, s), budget, "sublattice search")
+    check_budget(reference_index_sublattice_count(n, s), budget, "sublattice search")
     check_budget(s, budget, "sphere enumeration")
     sphere_pts = enumerate_sphere(ErrorSphere.uniform(n, t, ell))
     found: list[IntMatrix] = []
@@ -195,7 +215,7 @@ def reference_column_search(n: int, t: int, ell: int, budget: int | None = None)
     s = sphere_size(n, t, ell)
     if n < 1:
         raise BadParameters(f"need n >= 1, got {n}")
-    examined = _index_sublattice_count(n, s)
+    examined = reference_index_sublattice_count(n, s)
     check_budget(examined, budget, "sublattice search")
     check_budget(s, budget, "sphere enumeration")
     pts = enumerate_sphere(ErrorSphere.uniform(n, t, ell))

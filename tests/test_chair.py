@@ -12,6 +12,7 @@ from oracles import (
     brute_force_intersects,
     chair_point_set,
     difference_set,
+    random_chair,
     random_rational_chair,
 )
 
@@ -113,6 +114,23 @@ class TestEnumerate:
     def test_count_matches_volume(self):
         for c in all_valid_chairs(2, 5):
             assert len(enumerate_points(c)) == volume(c)
+
+    def test_matches_box_filter(self):
+        # the n boxes, sorted, against the full box filtered by contains:
+        # every chair with n <= 3 and sides <= 4, and seeded chairs n = 4-6
+        rng = random.Random(17)
+        chairs = [c for n in (1, 2, 3) for c in all_valid_chairs(n, 4)]
+        chairs += [random_chair(rng, n, 10 - n) for n in (4, 5, 6) for _ in range(40)]
+        for c in chairs:
+            expected = [p for p in product(*map(range, c.sides)) if contains(c, p)]
+            assert enumerate_points(c) == expected, c
+
+    def test_long_notch_stays_within_volume(self, monkeypatch):
+        # 19,999 points of a 10^8-cell box: the enumeration is bounded by
+        # the chair's volume, which is all the budget is charged
+        monkeypatch.setenv("CHAIRCODES_BUDGET", "20000")
+        pts = enumerate_points(Chair((10**4, 10**4), (9999, 9999)))
+        assert pts == [(0, y) for y in range(10**4)] + [(x, 0) for x in range(1, 10**4)]
 
 
 class TestShiftedCopiesIntersect:

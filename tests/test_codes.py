@@ -15,6 +15,8 @@ from chaircodes.codes import (
     LatticeCode,
     _doubling_plan,
     _Group,
+    _index_sublattice_count,
+    _invariant_factors,
     _orbit_least,
     _shift,
     decode,
@@ -30,8 +32,11 @@ from chaircodes.lattice import Lattice, SplittingSequence, chair_lattice, lattic
 from chaircodes.splitting import splitting_to_lattice
 
 from oracles import (
+    hnf_candidates,
     reference_column_search,
     reference_hnf_search,
+    reference_index_sublattice_count,
+    reference_invariant_factors,
     reference_orbit_least,
     reference_perfect_search,
 )
@@ -57,7 +62,7 @@ class TestSphereSize:
                     s = ErrorSphere.uniform(n, t, ell)
                     pts = enumerate_sphere(s)
                     assert sphere_size(n, t, ell) == len(pts) == s.size
-                    assert pts == sorted(pts)  # the recursion emits lexicographic order
+                    assert pts == sorted(pts)  # the boxes of the raised cells, sorted
 
     def test_domain(self):
         with pytest.raises(BadParameters):
@@ -80,6 +85,31 @@ class TestEnumerateSphere:
         sphere = ErrorSphere.per_cell((2, 1, 1))
         assert enumerate_sphere(sphere) == enumerate_points(Chair((3, 2, 2), (2, 1, 1)))
         assert sphere.size == 12 - 2
+
+    def test_matches_weight_filter(self):
+        # the boxes of at most t raised cells, sorted, against the full box
+        # [0, m_i] filtered by the number of nonzero cells
+        rng = random.Random(19)
+        spheres = [ErrorSphere.uniform(n, t, ell) for n in range(1, 6) for t in range(n + 1) for ell in (1, 2, 3)]
+        spheres += [ErrorSphere.per_cell(tuple(rng.randint(1, 4) for _ in range(n)))
+                    for n in range(1, 6) for _ in range(20)]
+        for s in spheres:
+            expected = [p for p in product(*(range(m + 1) for m in s.magnitudes))
+                        if sum(map(bool, p)) <= s.t]
+            assert enumerate_sphere(s) == expected, s
+
+    def test_one_error_in_five_cells(self):
+        # 496 points; a filter of the full box would visit 100^5 cells
+        pts = enumerate_sphere(ErrorSphere.uniform(5, 1, 99))
+        axes = [tuple(x if j == i else 0 for j in range(5)) for i in range(5) for x in range(1, 100)]
+        assert pts == sorted([(0,) * 5] + axes)
+        assert len(pts) == 496
+
+    def test_needs_a_cell(self):
+        # with no cell, the sphere's size and enumeration would read a
+        # magnitude that is not there
+        with pytest.raises(BadParameters, match="need n >= 1"):
+            ErrorSphere(0, 0, ())
 
     def test_per_cell_needs_t_n_minus_1(self):
         with pytest.raises(BadParameters):
@@ -440,6 +470,41 @@ def labellings(draw):
     return divs, rows
 
 
+class TestSearchSetup:
+    def test_sublattice_count_matches_ordered_factorizations(self):
+        # the recursion on the last Hermite diagonal entry against the sum
+        # over every ordered factorization of s
+        for n in range(1, 9):
+            for s in range(1, 400):
+                assert _index_sublattice_count(n, s) == reference_index_sublattice_count(n, s), (n, s)
+
+    def test_sublattice_count_in_many_dimensions(self):
+        # for s = p^k the count is the Gaussian binomial [n-1+k, n-1]_p, the
+        # product over 0 < i < n of (p^(k+i) - 1) / (p^i - 1), and it is
+        # multiplicative in s.  576 = 2^6 3^2 has about 193 million ordered
+        # factorizations into 25 parts
+        def prime_power(n, p, k):
+            return math.prod(p ** (k + i) - 1 for i in range(1, n)) // math.prod(p**i - 1 for i in range(1, n))
+
+        for n in range(1, 9):
+            assert _index_sublattice_count(n, 2**5) == prime_power(n, 2, 5)
+        assert _index_sublattice_count(25, 576) == prime_power(25, 2, 6) * prime_power(25, 3, 2)
+        with pytest.raises(BudgetExceeded):
+            exhaustive_perfect_search(25, 1, 23)  # s = 576
+
+    def test_sublattice_count_matches_hnf_candidates(self):
+        for n in range(1, 5):
+            for s in range(1, 13):
+                assert _index_sublattice_count(n, s) == len(list(hnf_candidates(n, s))), (n, s)
+
+    def test_invariant_factors_match_filtered_factorizations(self):
+        # the chains generated directly, in the order of the ordered
+        # factorizations that form a divisor chain
+        for n in range(1, 7):
+            for s in range(1, 400):
+                assert list(_invariant_factors(s, n)) == reference_invariant_factors(s, n), (n, s)
+
+
 class TestKernelBasis:
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)
     @given(labellings())
@@ -490,9 +555,10 @@ class TestShift:
 class TestAutomorphismOrbits:
     @pytest.mark.parametrize("divs", [
         (12,), (36,), (2, 2), (2, 4), (2, 6), (3, 3), (4, 4), (2, 8), (3, 9), (2, 12),
-        (4, 8), (2, 2, 2), (2, 2, 4), (2, 2, 6),
+        (4, 8), (2, 2, 2), (2, 2, 4), (2, 2, 6), (6, 6), (2, 2, 12),
     ])
     def test_least_orbit_element(self, divs):
-        # the search puts the entry of least orbit first: its Ulm-sequence
-        # orbits must be the orbits of every automorphism, tried one by one
+        # the search puts the entry of least orbit first: its orbits, read
+        # from the orders modulo bG, must be the orbits of every
+        # automorphism, tried one by one
         assert _orbit_least(divs) == reference_orbit_least(divs)
