@@ -8,6 +8,7 @@ enumerated point by point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
@@ -81,12 +82,7 @@ class Chair:
 
 def volume(c: Chair) -> Scalar:
     """prod(l_i) - prod(k_i); for discrete chairs this counts the integer points."""
-    lprod: Scalar = 1
-    kprod: Scalar = 1
-    for l, k in zip(c.sides, c.notch):
-        lprod *= l
-        kprod *= k
-    return as_exact(lprod - kprod)
+    return as_exact(math.prod(c.sides) - math.prod(c.notch))
 
 
 def _check_dims(c: Chair, p: Sequence[Scalar]) -> None:

@@ -1,9 +1,11 @@
 """Command-line front end: construct, verify, decode, search, wom.
 
-Reports are JSON on stdout with every number rendered as a decimal string, so
-arbitrary-precision values survive any consumer.  Errors go to stderr as JSON
-too.  Exit codes: 0 ok, 2 bad input, 3 code not perfect, 4 budget exceeded,
-5 verification failed.
+Commands compute and main reports: each cmd_* returns its report and exit
+code, and main times it, adds the command's name and timings_ms, and prints
+it.  Reports are JSON on stdout with every number rendered as a decimal
+string, so arbitrary-precision values survive any consumer.  Errors go to
+stderr as JSON too.  Exit codes: 0 ok, 2 bad input, 3 code not perfect,
+4 budget exceeded, 5 verification failed.
 """
 
 from __future__ import annotations
@@ -57,11 +59,6 @@ def _chair_from_args(args: argparse.Namespace) -> Chair:
     return Chair(_parse_vector(args.l), _parse_vector(args.k))
 
 
-def _print_report(report: dict, start: float) -> None:
-    report["timings_ms"] = {"total": str(int((time.perf_counter() - start) * 1000))}
-    print(json.dumps(report, sort_keys=True, indent=2))
-
-
 def _error_exit(exc: BaseException) -> int:
     payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
     print(json.dumps(payload, sort_keys=True), file=sys.stderr)
@@ -71,8 +68,7 @@ def _error_exit(exc: BaseException) -> int:
     return EXIT_INPUT
 
 
-def cmd_construct(args: argparse.Namespace) -> int:
-    start = time.perf_counter()
+def cmd_construct(args: argparse.Namespace) -> tuple[dict | None, int]:
     c = _chair_from_args(args)
     seq: SplittingSequence | None = None
     if args.method in ("auto", "splitting"):
@@ -84,7 +80,6 @@ def cmd_construct(args: argparse.Namespace) -> int:
     lat = chair_lattice(c)
     verdict = verify_tiling(lat, c)
     report = {
-        "command": "construct",
         "parameters": {**c.to_json_dict(), "method": args.method},
         "artifacts": {
             "generator": lat.to_json_dict()["generator"],
@@ -94,8 +89,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
         "verdicts": {"tiling": verdict.to_json_dict()},
     }
     if seq is not None:
-        sv = verify_splitting(c, seq)
-        report["verdicts"]["splitting"] = sv.to_json_dict()
+        report["verdicts"]["splitting"] = verify_splitting(c, seq).to_json_dict()
     if args.code_out:
         if any(l - k != 1 for l, k in zip(c.sides, c.notch)):
             raise BadParameters("--code-out needs an error-sphere chair: L = K + 1 componentwise")
@@ -103,23 +97,18 @@ def cmd_construct(args: argparse.Namespace) -> int:
         with open(args.code_out, "w") as fh:
             json.dump(code.to_json_dict(), fh, sort_keys=True, indent=2)
         report["artifacts"]["code_file"] = args.code_out
-    if args.out == "csv":
-        lines = [f"volume,{volume(c)}"]
-        for row in lat.generator:
-            lines.append("generator," + ",".join(str(x) for x in row))
-        if seq is not None:
-            seq_json = seq.to_json_dict()
-            lines.append(f"m,{seq_json['m']}")
-            lines.append("beta," + ",".join(seq_json["beta"]))
+    if args.out == "csv":  # rows read off the report's artifacts
+        art = report["artifacts"]
+        lines = [f"volume,{art['volume']}"] + ["generator," + ",".join(row) for row in art["generator"]]
+        if art["splitting"] is not None:
+            lines += [f"m,{art['splitting']['m']}", "beta," + ",".join(art["splitting"]["beta"])]
         lines.append(f"tiling,{'ok' if verdict.ok else 'fail'}")
         print("\n".join(lines))
-        return EXIT_OK
-    _print_report(report, start)
-    return EXIT_OK
+        return None, EXIT_OK
+    return report, EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    start = time.perf_counter()
+def cmd_verify(args: argparse.Namespace) -> tuple[dict | None, int]:
     c = _chair_from_args(args)
     verdicts: dict = {}
     if args.m is not None or args.beta is not None:
@@ -143,17 +132,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if args.torus:
             verdicts["torus"] = torus_tiling_oracle(lat, c)
     report = {
-        "command": "verify",
         "parameters": c.to_json_dict(),
         "artifacts": {"generator": lat.to_json_dict()["generator"] if lat else None},
         "verdicts": {k: v.to_json_dict() for k, v in verdicts.items()},
     }
-    _print_report(report, start)
-    return EXIT_OK if all(v.ok for v in verdicts.values()) else EXIT_VERIFICATION
+    return report, EXIT_OK if all(v.ok for v in verdicts.values()) else EXIT_VERIFICATION
 
 
-def cmd_decode(args: argparse.Namespace) -> int:
-    start = time.perf_counter()
+def cmd_decode(args: argparse.Namespace) -> tuple[dict | None, int]:
     with open(args.code) as fh:
         code = codes.LatticeCode.from_json_dict(json.load(fh))
     received = _parse_int_vector(args.received)
@@ -161,20 +147,14 @@ def cmd_decode(args: argparse.Namespace) -> int:
         raise BadParameters(f"received word has {len(received)} cells, code has {code.sphere.n}")
     codeword, error = codes.decode(code, received)
     report = {
-        "command": "decode",
         "parameters": {"code": args.code, "received": [str(x) for x in received]},
-        "artifacts": {
-            "codeword": [str(x) for x in codeword],
-            "error": [str(x) for x in error],
-        },
+        "artifacts": {"codeword": [str(x) for x in codeword], "error": [str(x) for x in error]},
         "verdicts": {},
     }
-    _print_report(report, start)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
-def cmd_search(args: argparse.Namespace) -> int:
-    start = time.perf_counter()
+def cmd_search(args: argparse.Namespace) -> tuple[dict | None, int]:
     n, t, ell = parse_int(args.n, "--n"), parse_int(args.t, "--t"), parse_int(args.ell, "--ell")
     budget = resolve_budget(args.budget)
     if args.mode == "divisibility":
@@ -184,18 +164,15 @@ def cmd_search(args: argparse.Namespace) -> int:
     else:
         verdict = codes.exhaustive_perfect_search(n, t, ell, budget)
     report = {
-        "command": "search",
         "parameters": {"n": str(n), "t": str(t), "ell": str(ell),
                        "mode": args.mode, "budget": str(budget)},
         "artifacts": {},
         "verdicts": {"search": verdict.to_json_dict()},
     }
-    _print_report(report, start)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
-def cmd_wom(args: argparse.Namespace) -> int:
-    start = time.perf_counter()
+def cmd_wom(args: argparse.Namespace) -> tuple[dict | None, int]:
     q = parse_int(args.q, "--q")
     if q < 1:
         raise BadParameters(f"need q >= 1, got {q}")
@@ -210,19 +187,16 @@ def cmd_wom(args: argparse.Namespace) -> int:
         with open(out_path, "wb") as fh:
             rows = wom.write_binary(coloring, fh)
     report = {
-        "command": "wom",
         "parameters": {**c.to_json_dict(), "q": str(q), "out": args.out},
         "artifacts": {"colors": str(coloring.sigma), "cells": str(rows), "file": out_path},
         "verdicts": {},
     }
-    rc = EXIT_OK
     if args.check:
         verdict = wom.check_write_guarantee(coloring, c)
         report["verdicts"]["write_guarantee"] = verdict.to_json_dict()
         if not verdict.ok:
-            rc = EXIT_VERIFICATION
-    _print_report(report, start)
-    return rc
+            return report, EXIT_VERIFICATION
+    return report, EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -280,8 +254,14 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else 0
+    start = time.perf_counter()
     try:
-        return args.func(args)
+        report, rc = args.func(args)
+        if report is not None:
+            report["command"] = args.subcommand
+            report["timings_ms"] = {"total": str(int((time.perf_counter() - start) * 1000))}
+            print(json.dumps(report, sort_keys=True, indent=2))
+        return rc
     except (ChairCodesError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         return _error_exit(exc)
 

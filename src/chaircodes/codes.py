@@ -23,7 +23,7 @@ from .budget import as_int, check_budget, parse_int
 from .chair import Chair
 from .errors import BadParameters, HypothesisViolated, NotPerfect
 from .exactmath import IntMatrix, mod_inverse
-from .lattice import Lattice, chair_lattice
+from .lattice import Lattice, chair_lattice, sorted_detail
 from .splitting import general_chair_splitting, splitting_to_lattice
 
 
@@ -257,11 +257,7 @@ def nonexistence_divisibility_check(n: int, ell: int) -> SearchVerdict:
     if ell == 1 and n >= 7:
         # growth bound confirming the lam = 1 candidate can never divide
         detail["bound_2^n_gt_2n(n+1)"] = 2**n > 2 * n * (n + 1)
-    return SearchVerdict("NoPerfectCode", detail=_sorted_detail(detail))
-
-
-def _sorted_detail(detail: dict[str, object]) -> tuple[tuple[str, str], ...]:
-    return tuple((k, str(v)) for k, v in sorted(detail.items()))
+    return SearchVerdict("NoPerfectCode", detail=sorted_detail(detail))
 
 
 @cache

@@ -53,11 +53,11 @@ class Verdict:
 
     @classmethod
     def passed(cls, **detail: object) -> Verdict:
-        return cls(True, detail=tuple((k, str(v)) for k, v in sorted(detail.items())))
+        return cls(True, detail=sorted_detail(detail))
 
     @classmethod
     def failed(cls, reason: str, witness: tuple | None = None, **detail: object) -> Verdict:
-        return cls(False, reason, witness, tuple((k, str(v)) for k, v in sorted(detail.items())))
+        return cls(False, reason, witness, sorted_detail(detail))
 
     def to_json_dict(self) -> dict:
         out: dict = {"ok": self.ok}
@@ -68,6 +68,11 @@ class Verdict:
         if self.detail:
             out["detail"] = {k: v for k, v in self.detail}
         return out
+
+
+def sorted_detail(detail: dict[str, object]) -> tuple[tuple[str, str], ...]:
+    """A verdict's detail: (key, str(value)) pairs in key order."""
+    return tuple((k, str(v)) for k, v in sorted(detail.items()))
 
 
 def _point_json(p: tuple) -> list:
@@ -274,14 +279,17 @@ class Lattice:
         return cls(rows)
 
 
+def _cycle_row(sides: Sequence[Scalar], notch: Sequence[Scalar], j: int, i: int) -> list[Scalar]:
+    """The tiling row l_j*e_j - k_i*e_i of a step j -> i of a coordinate cycle."""
+    v: list[Scalar] = [0] * len(sides)
+    v[j] += sides[j]
+    v[i] -= notch[i]
+    return v
+
+
 def chair_rows(sides: Sequence[Scalar], notch: Sequence[Scalar]) -> list[list[Scalar]]:
     """The chair's tiling basis: row i is l_i*e_i - k_{i+1}*e_{i+1}, indices mod n."""
-    n = len(sides)
-    rows: list[list[Scalar]] = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] += sides[i]
-        rows[i][(i + 1) % n] -= notch[(i + 1) % n]
-    return rows
+    return [_cycle_row(sides, notch, i, (i + 1) % len(sides)) for i in range(len(sides))]
 
 
 def chair_lattice(c: Chair) -> Lattice:
@@ -419,23 +427,15 @@ def chair_cycle(sides: Sequence[Scalar], notch: Sequence[Scalar], member: Callab
     lattice, which for n >= 3 is zero on a third coordinate, and the chair's
     copy there overlaps the one at 0.
     """
-    n = len(sides)
-
-    def row(j: int, i: int) -> list[Scalar]:
-        v: list[Scalar] = [0] * n
-        v[j] += sides[j]
-        v[i] -= notch[i]
-        return v
-
-    unvisited = list(range(1, n))
+    unvisited = list(range(1, len(sides)))
     j = 0
     while unvisited:
-        i = next((i for i in unvisited if member(row(j, i))), None)
+        i = next((i for i in unvisited if member(_cycle_row(sides, notch, j, i))), None)
         if i is None:
             return False
         unvisited.remove(i)
         j = i
-    return member(row(j, 0))
+    return member(_cycle_row(sides, notch, j, 0))
 
 
 def verify_packing(lat: Lattice, c: Chair) -> Verdict:

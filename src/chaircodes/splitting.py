@@ -45,10 +45,11 @@ def general_chair_splitting(c: Chair) -> SplittingSequence:
     """Splitting of Z_{volume} for any discrete chair whose notch sides are
     units of the group, except possibly one.
 
-    beta_1 = 1 and each next residue is the previous one times l_i / k_{i+1}.
-    When exactly one notch side shares a factor with the group order, the
-    coordinates are reordered to put it first (its inverse is never needed);
-    the reordering is recorded in the result.  Two or more such sides violate
+    The first coordinate of the order has residue 1, and each next one b,
+    after a, has beta_b = beta_a * l_a / k_b.  The order is the identity
+    unless exactly one notch side shares a factor with the group order; then
+    the coordinates are reordered to put it first (its inverse is never
+    needed), and the reordering is recorded in the result.  Two or more such sides violate
     the hypothesis and raise.
     """
     if not c.is_discrete:
@@ -63,14 +64,10 @@ def general_chair_splitting(c: Chair) -> SplittingSequence:
         raise HypothesisViolated(bad, f"k_{bad} = {notch[offenders[1]]} shares a factor with {m}")
     first = offenders[0] if offenders else 0
     perm = (first,) + tuple(i for i in range(n) if i != first)
-    beta_internal = [1 % m]
-    for j in range(n - 1):
-        l_j = sides[perm[j]]
-        k_next = notch[perm[j + 1]]
-        beta_internal.append(mod_inverse(k_next, m) * l_j * beta_internal[j] % m)
     beta = [0] * n
-    for j, orig in enumerate(perm):
-        beta[orig] = beta_internal[j]
+    beta[first] = 1 % m
+    for a, b in zip(perm, perm[1:]):
+        beta[b] = mod_inverse(notch[b], m) * sides[a] * beta[a] % m
     return SplittingSequence.cyclic(m, beta, perm)
 
 

@@ -32,8 +32,14 @@ class Coloring:
     chair: Chair
 
     def color_of(self, state: Sequence[int]) -> int:
+        """The color of one state.  Refuses a state whose length is not n
+        (DimensionMismatch), and a coordinate that is not an integer (a bool
+        included) or lies outside [0, q) (BadParameters)."""
+        if len(state) != self.n:
+            raise DimensionMismatch(f"state has {len(state)} coordinates, grid is {self.n}-dimensional")
         idx = 0
         for x in state:
+            x = as_int(x, "a state coordinate")
             if not 0 <= x < self.q:
                 raise BadParameters(f"state coordinate {x} outside [0, {self.q})")
             idx = idx * self.q + x

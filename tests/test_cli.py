@@ -437,6 +437,40 @@ class TestWom:
         assert json.loads(err)["error"]["type"] == "BadParameters"
 
 
+class TestReportPath:
+    """main prints every report: one JSON document whose command is the
+    subcommand and whose timings_ms holds the total alone."""
+
+    @pytest.fixture()
+    def code_file(self, tmp_path, capsys):
+        path = tmp_path / "code.json"
+        run_cli(capsys, "construct", "--l", "2,2,2", "--k", "1,1,1", "--code-out", str(path))
+        return path
+
+    @pytest.mark.parametrize("argv, exit_code", [
+        (["construct", "--l", "3,3", "--k", "2,2"], 0),
+        (["verify", "--l", "3,3", "--k", "2,2", "--torus"], 0),
+        (["verify", "--l", "3,3,3", "--k", "2,2,2", "--m", "19", "--beta", "1,2,3"], 5),
+        (["decode", "--code", "{code}", "--received", "1,1,0"], 0),
+        (["search", "--n", "4", "--t", "2", "--ell", "1"], 0),
+        (["wom", "--l", "2,2", "--k", "1,1", "--q", "3", "--check", "--output", "{out}"], 0),
+    ], ids=["construct", "verify", "verify-failing", "decode", "search", "wom"])
+    def test_one_report_per_command(self, capsys, tmp_path, code_file, argv, exit_code):
+        argv = [a.format(code=code_file, out=tmp_path / "c.csv") for a in argv]
+        rc, out, err = run_cli(capsys, *argv)
+        assert (rc, err) == (exit_code, "")
+        report = json.loads(out)  # the whole of stdout is one document
+        assert report["command"] == argv[0]
+        assert list(report["timings_ms"]) == ["total"]
+        assert int(report["timings_ms"]["total"]) >= 0
+
+    def test_csv_construct_prints_no_report(self, capsys):
+        rc, out, err = run_cli(capsys, "construct", "--l", "3,3", "--k", "2,2", "--out", "csv")
+        assert (rc, err) == (0, "")
+        assert "{" not in out and "command" not in out
+        assert out.splitlines()[0] == "volume,5"
+
+
 class TestVerdictFidelity:
     def test_cli_verdicts_match_library(self, capsys):
         from chaircodes.chair import Chair

@@ -365,6 +365,30 @@ class TestDivisibilityCheck:
             nonexistence_divisibility_check(3, 1)
 
 
+TYPED_REFUSALS = {
+    "ErrorSphere, 2 magnitudes for 3 cells":
+        (lambda: ErrorSphere(3, 2, (1, 1)), BadParameters, "3 cells but 2 magnitudes"),
+    "ErrorSphere, t > n":
+        (lambda: ErrorSphere(2, 3, (1, 1)), BadParameters, r"need 0 <= t <= n, got t=3, n=2"),
+    "ErrorSphere, magnitude 0":
+        (lambda: ErrorSphere(2, 1, (1, 0)), BadParameters, "magnitudes must be >= 1"),
+    "as_chair, t = n - 2":
+        (lambda: ErrorSphere.uniform(3, 1, 1).as_chair(), BadParameters, "only the t = n-1 sphere is a chair"),
+    "perfect_code, n = 1":
+        (lambda: perfect_code(1, (1,)), BadParameters, "need n >= 2, got 1"),
+    "perfect_code, 2 magnitudes for 3 cells":
+        (lambda: perfect_code(3, (1, 1)), BadParameters, "3 cells but 2 magnitudes"),
+    "nonexistence_divisibility_check, ell = 0":
+        (lambda: nonexistence_divisibility_check(4, 0), BadParameters, "need ell >= 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", TYPED_REFUSALS.values(), ids=TYPED_REFUSALS.keys())
+def test_typed_refusal(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 class TestExhaustiveSearch:
     def test_positive_control(self):
         verdict = exhaustive_perfect_search(3, 2, 1)

@@ -12,9 +12,12 @@ from hypothesis import strategies as st
 from chaircodes import lattice as lattice_module
 from chaircodes.chair import Chair, enumerate_points, volume
 from chaircodes.errors import (
+    BadParameters,
     BudgetExceeded,
     DimensionMismatch,
+    InvalidChair,
     NonIntegerLattice,
+    NonSquare,
     NotATiling,
     NotDiscrete,
     SingularMatrix,
@@ -34,7 +37,7 @@ from chaircodes.lattice import (
     verify_packing,
     verify_tiling,
 )
-from chaircodes.splitting import splitting_to_lattice
+from chaircodes.splitting import splitting_to_lattice, uniform_chair_splitting
 from chaircodes.wom import build_coloring
 
 from oracles import (
@@ -892,6 +895,20 @@ TYPED_REFUSALS = {
     "build_coloring, diag(5, 1)":
         (lambda: build_coloring(Lattice([[5, 0], [0, 1]]), SQUARE, 4), NotATiling,
          "the chair's 5 points fall in only 3 cosets"),
+    "Lattice, non-square generator":
+        (lambda: Lattice([[1, 2]]), NonSquare, "generator matrix must be square"),
+    "Lattice, empty generator":
+        (lambda: Lattice([]), NonSquare, "generator matrix must be nonempty"),
+    "canonical, rational lattice":
+        (lambda: Lattice([[Fraction(1, 2), 0], [0, 1]]).canonical(), NonIntegerLattice,
+         "lattice has rational basis vectors"),
+    "Chair, no dimension":
+        (lambda: Chair((), ()), InvalidChair, "chair needs at least one dimension"),
+    "int_sides, rational chair":
+        (lambda: Chair((Fraction(5, 2), 2), (Fraction(1, 2), 1)).int_sides(), NotDiscrete,
+         "chair has non-integer side lengths"),
+    "uniform_chair_splitting, ell = 1":
+        (lambda: uniform_chair_splitting(3, 1), BadParameters, r"need n >= 2 and ell >= 2, got n=3, ell=1"),
 }
 
 

@@ -60,6 +60,19 @@ class TestBuildColoring:
         with pytest.raises(NotATiling):
             build_coloring(Lattice([[1, 0], [0, 1]]), c, 3)
 
+    def test_color_of_refuses_other_lengths_and_non_integers(self):
+        # a state of another length once read another cell's color: (1,) and
+        # (0, 0, 1) both gave the color of (0, 1); a bool passed as 0 or 1
+        col, _ = small_coloring()
+        for state in [(1,), (0, 0, 1), ()]:
+            with pytest.raises(DimensionMismatch, match=f"state has {len(state)} coordinates, grid is 2-dim"):
+                col.color_of(state)
+        for state in [(True, False), (0, 1.0), (0, "1")]:
+            with pytest.raises(BadParameters, match="a state coordinate must be an integer"):
+                col.color_of(state)
+        with pytest.raises(BadParameters, match="outside"):
+            col.color_of((0, 3))
+
     def test_bad_q(self):
         c = Chair((2, 2), (1, 1))
         with pytest.raises(BadParameters):
