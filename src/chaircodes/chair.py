@@ -30,7 +30,10 @@ def as_exact(x: object) -> Scalar:
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else x
     if isinstance(x, str):
-        f = Fraction(x)
+        try:
+            f = Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
         return int(f) if f.denominator == 1 else f
     raise ValueError(f"expected an exact integer or fraction, got {type(x).__name__}")
 
@@ -46,7 +49,7 @@ class Chair:
         try:
             sides = tuple(as_exact(x) for x in self.sides)
             notch = tuple(as_exact(x) for x in self.notch)
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise InvalidChair(str(exc)) from None
         if len(sides) != len(notch):
             raise InvalidChair(f"sides has {len(sides)} entries, notch has {len(notch)}")

@@ -47,7 +47,7 @@ def _parse_vector(text: str) -> tuple[Fraction | int, ...]:
         if not parts:
             raise ValueError("empty vector")
         return tuple(as_exact(p) for p in parts)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise BadParameters(f"cannot parse vector {text!r}: {exc}") from None
 
 

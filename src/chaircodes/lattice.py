@@ -2,11 +2,11 @@
 packing / tiling verification against chair shapes.
 
 A lattice is stored by its generator matrix whose *rows* are the basis
-vectors.  The cached canonical form is the Hermite normal form of the
-transposed generator (columns as basis), so two generators describe the same
-lattice exactly when their canonical forms are equal.  Quotient structure
-Z^n / lattice comes from the Smith normal form of the generator, as a
-SplittingSequence: the labels of the unit vectors in Z_d1 + ... + Z_dk.
+vectors, and built with one normal form: the Hermite normal form of the
+transposed generator of its integer model (columns as basis).  Its diagonal
+gives the volume, its equality the lattice's, and its residues membership.
+The Smith normal form is computed only for labels: Z^n / lattice as a
+SplittingSequence, the labels of the unit vectors in Z_d1 + ... + Z_dk.
 A lattice of index vol(c) that holds the chair's tiling rows along some
 cycle of the coordinates is a chair lattice, which tiles the chair
 (chair_cycle).  Other lattices are checked by a search of a box: a walk
@@ -130,6 +130,8 @@ class SplittingSequence:
 
     def value(self, p: Sequence[int]) -> tuple[int, ...]:
         """Image of p in G: its dot product with each factor's residues."""
+        if len(p) != len(self.permutation):
+            raise DimensionMismatch(f"point has {len(p)} coordinates, labelling is {self.n}-dimensional")
         return tuple([sum(map(operator.mul, p, row)) % d for row, d in self._factors])
 
     def box_values(self, ranges: Sequence[range], start: int = 0, sign: int = 1) -> list[list[int]]:
@@ -170,22 +172,17 @@ class Lattice:
         self.n = n
         self.scale = math.lcm(*(x.denominator for row in gen for x in row))
         self._matrix = IntMatrix(tuple(tuple(int(x * self.scale) for x in row) for row in gen))
-        det_scaled = exactmath.determinant(self._matrix)
-        if det_scaled == 0:
-            raise SingularMatrix("basis rows are linearly dependent")
-        self._det = Fraction(det_scaled, self.scale**n)
-        self._canonical: IntMatrix | None = None
-        self._snf: tuple[IntMatrix, IntMatrix, IntMatrix] | None = None
+        try:  # the Hermite form of the integer model sL, columns as basis
+            self._hermite = exactmath.hermite_normal_form(self._matrix.transpose())
+        except SingularMatrix:
+            raise SingularMatrix("basis rows are linearly dependent") from None
+        diagonal = math.prod(row[i] for i, row in enumerate(self._hermite.entries))
+        self.volume: Scalar = as_exact(Fraction(diagonal, self.scale**n))
         self._quotient: SplittingSequence | None = None
-        self._scaled: Lattice | None = None  # integer model of a rational lattice
 
     @property
     def is_integer(self) -> bool:
         return self.scale == 1
-
-    @property
-    def volume(self) -> Scalar:
-        return as_exact(abs(self._det))
 
     def generator_matrix(self) -> IntMatrix:
         if not self.is_integer:
@@ -194,23 +191,18 @@ class Lattice:
 
     def integer_model(self) -> Lattice:
         """The lattice scaled by scale, the least s with sL inside Z^n (itself
-        when integral)."""
-        if self.is_integer:
-            return self
-        if self._scaled is None:
-            self._scaled = Lattice(self._matrix.entries)
-        return self._scaled
+        when integral, a new Lattice on each call otherwise)."""
+        return self if self.is_integer else Lattice(self._matrix.entries)
 
     def canonical(self) -> IntMatrix:
-        """Canonical form: column-style HNF of the transposed generator."""
-        if self._canonical is None:
-            self._canonical = exactmath.hermite_normal_form(self.generator_matrix().transpose())
-        return self._canonical
+        """Canonical form: column-style HNF of the transposed generator, built
+        with the lattice."""
+        self.generator_matrix()  # refuses a rational lattice
+        return self._hermite
 
     def smith(self) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-        if self._snf is None:
-            self._snf = exactmath.smith_normal_form(self.generator_matrix())
-        return self._snf
+        """Smith decomposition U A V = D of the generator A; labeling() caches its labels."""
+        return exactmath.smith_normal_form(self.generator_matrix())
 
     def labeling(self) -> SplittingSequence:
         """Z^n / lattice as labels of the unit vectors: with U A V = D the
@@ -236,14 +228,14 @@ class Lattice:
 
     def member(self, p: Sequence[Scalar]) -> bool:
         """Whether p is an integer combination of the basis rows: s*p must be
-        an integer vector in the kernel of the labelling of the integer model
-        s*L, s being the scale."""
+        an integer vector whose residue modulo the Hermite form of the integer
+        model s*L is zero, s being the scale."""
         if len(p) != self.n:
             raise DimensionMismatch(f"point has {len(p)} coordinates, lattice is {self.n}-dimensional")
         sp = [as_exact(x) * self.scale for x in p]
         if any(x.denominator != 1 for x in sp):
             return False
-        return not any(self.integer_model().labeling().value([x.numerator for x in sp]))
+        return not any(exactmath.hnf_residue(self._hermite.entries, [x.numerator for x in sp]))
 
     def wraps(self, q: int) -> bool:
         """Whether q*e_i is a lattice vector for every axis (q Z^n inside the
@@ -254,11 +246,7 @@ class Lattice:
         """Equal lattices have equal scales, hence equal integer models."""
         if not isinstance(other, Lattice):
             return NotImplemented
-        return (
-            self.n == other.n
-            and self.scale == other.scale
-            and self.integer_model().canonical() == other.integer_model().canonical()
-        )
+        return self.n == other.n and self.scale == other.scale and self._hermite == other._hermite
 
     __hash__ = None  # type: ignore[assignment]
 

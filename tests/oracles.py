@@ -305,16 +305,15 @@ def reference_perfect_search(n: int, t: int, ell: int) -> SearchVerdict:
 
 
 def reference_member(lat: Lattice, p) -> bool:
-    """Lattice.member as it was before it read the labelling: s*p must be
-    an integer vector whose residue modulo the HNF of the integer model s*L
-    is zero, s being the scale."""
+    """Lattice.member by the Smith labelling rather than the Hermite form:
+    s*p must be an integer vector in the kernel of the labelling of the
+    integer model s*L, s being the scale."""
     if len(p) != lat.n:
         raise DimensionMismatch(f"point has {len(p)} coordinates, lattice is {lat.n}-dimensional")
     sp = [x * lat.scale for x in p]
     if any(x.denominator != 1 for x in sp):
         return False
-    h = lat.integer_model().canonical().entries
-    return not any(hnf_residue(h, [int(x) for x in sp]))
+    return not any(lat.integer_model().labeling().value([int(x) for x in sp]))
 
 
 def reference_lattice_points_in_box(lat: Lattice, max_abs):

@@ -57,12 +57,36 @@ from oracles import (
 
 class TestLatticeBasics:
     def test_singular_rejected(self):
-        with pytest.raises(SingularMatrix):
+        with pytest.raises(SingularMatrix, match="^basis rows are linearly dependent$"):
             Lattice([[1, 2], [2, 4]])
 
     def test_volume_is_abs_det(self):
         assert Lattice([[3, -2], [-2, 3]]).volume == 5
         assert Lattice([[-3, 2], [2, -3]]).volume == 5
+
+    def test_volume_matches_determinant_reference(self):
+        # the volume read off the Hermite diagonal is |det(sL)| / s^n, value
+        # and type, on integer, rational and unimodular-image lattices
+        rng = random.Random(24)
+        kinds = Counter()
+        while sum(kinds.values()) < 360:
+            n = rng.randint(1, 5)
+            kind = ("integer", "rational", "unimodular image")[sum(kinds.values()) % 3]
+            den = [1] if kind == "integer" else [1, 2, 3, 4, 6]
+            rows = [[Fraction(rng.randint(-7, 7), rng.choice(den)) for _ in range(n)] for _ in range(n)]
+            if kind == "unimodular image":
+                rows = (random_unimodular(n, rng) @ chair_lattice(random_chair(rng, n)).generator_matrix()).to_lists()
+            s = math.lcm(*(Fraction(x).denominator for row in rows for x in row))
+            det = determinant(IntMatrix(tuple(tuple(int(x * s) for x in row) for row in rows)))
+            if det == 0:
+                with pytest.raises(SingularMatrix, match="^basis rows are linearly dependent$"):
+                    Lattice(rows)
+                continue
+            want = Fraction(abs(det), s**n)
+            got = Lattice(rows).volume
+            assert (got, type(got)) == (want, int if want.denominator == 1 else Fraction), rows
+            kinds[kind, det < 0] += 1
+        assert min(kinds.values()) >= 30, kinds
 
     def test_rational_volume(self):
         lat = Lattice([[Fraction(5, 2), Fraction(-3, 2)], [Fraction(-3, 2), Fraction(3, 2)]])
@@ -127,7 +151,7 @@ class TestMember:
         assert lat.member((Fraction(1, 2), Fraction(1, 2)))
         assert not lat.member((1, 0))
 
-    def test_member_matches_hnf_residue_reference(self):
+    def test_member_matches_smith_label_reference(self):
         # integer and rational lattices, probed at integer and rational
         # points and at lattice points
         rng = random.Random(9)

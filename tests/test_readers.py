@@ -177,6 +177,26 @@ def test_malformed_file_refused(capsys, tmp_path, argv, content):
     assert json.loads(captured.err)["error"]["type"] == "BadParameters"
 
 
+ZERO_DENOMINATORS = {
+    "verify, generator entry 1/0": (VERIFY_FILE, {"generator": [["1/0", "0"], ["0", "1"]]},
+                                    {"type": "ValueError", "message": "zero denominator in '1/0'"}),
+    "verify --l 3,-2/0": (["verify", "--l", "3,-2/0", "--k", "2,1"], None,
+                          {"type": "BadParameters",
+                           "message": "cannot parse vector '3,-2/0': zero denominator in '-2/0'"}),
+}
+
+
+@pytest.mark.parametrize("argv, content, error", ZERO_DENOMINATORS.values(), ids=ZERO_DENOMINATORS.keys())
+def test_zero_denominator_refused(capsys, tmp_path, argv, content, error):
+    # a generator file entry 1/0 escaped as a ZeroDivisionError traceback
+    path = tmp_path / "file.json"
+    path.write_text(json.dumps(content))
+    rc = main([str(path) if a == "FILE" else a for a in argv])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (2, "")
+    assert json.loads(captured.err)["error"] == error
+
+
 @pytest.mark.parametrize("field", ["generator", "n", "t", "magnitudes", "perfect"])
 def test_missing_field_named(field):
     # the file was refused with a bare KeyError whose message was the field

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chaircodes.chair import Chair, enumerate_points, volume
-from chaircodes.errors import BadParameters, BudgetExceeded, HypothesisViolated, NotDiscrete
+from chaircodes.errors import BadParameters, BudgetExceeded, DimensionMismatch, HypothesisViolated, NotDiscrete
 from chaircodes.exactmath import IntMatrix, determinant, hnf_residue
 from chaircodes import splitting
 from chaircodes.lattice import Lattice, SplittingSequence, Verdict, chair_lattice, verify_tiling
@@ -34,6 +34,14 @@ class TestSplittingSequence:
         s = SplittingSequence((2, 6), ((1, 0), (3, 1)))
         assert s.n == 2 and s.order == 12
         assert s.value((1, 1)) == (1, 4)
+
+    @pytest.mark.parametrize("p", [(1,), (1, 0, 0, 5), (), (True, False, False, True)])
+    def test_value_refuses_other_lengths(self, p):
+        # value((1,)) and value((1, 0, 0, 5)) read as the value of (1, 0, 0)
+        s = SplittingSequence.cyclic(19, (1, 7, 11))
+        with pytest.raises(DimensionMismatch, match=f"^point has {len(p)} coordinates, labelling is 3-dimensional$"):
+            s.value(p)
+        assert s.value((1, 0, 0)) == (1,)
 
     @pytest.mark.parametrize("args", [
         ((0,), ((1, 2),)),
