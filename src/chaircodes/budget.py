@@ -5,7 +5,7 @@ argument, and every integer read from argv, the environment or a JSON file,
 goes through one of them, so a bool, float or malformed string raises
 BadParameters instead of being truncated.
 
-Every potentially explosive enumeration (chair points, box walks, grid
+Every potentially explosive enumeration (chair points, box searches, grid
 states, sublattice searches) is capped.  The default cap is 10**6 and can be
 overridden with the CHAIRCODES_BUDGET environment variable, or per call for
 the sublattice search and the sphere enumeration it runs.

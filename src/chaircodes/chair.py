@@ -9,6 +9,7 @@ enumerated point by point.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
@@ -22,7 +23,8 @@ Point = tuple[Scalar, ...]
 
 
 def as_exact(x: object) -> Scalar:
-    """Coerce to int or Fraction; floats are rejected to keep arithmetic exact."""
+    """Coerce to int or Fraction; floats are rejected to keep arithmetic exact,
+    and text must match -?[0-9]+(/[0-9]+)?, so no exponent builds a huge int."""
     if isinstance(x, bool):
         raise ValueError("booleans are not valid coordinates")
     if isinstance(x, int):
@@ -30,6 +32,8 @@ def as_exact(x: object) -> Scalar:
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else x
     if isinstance(x, str):
+        if not re.fullmatch(r"-?[0-9]+(/[0-9]+)?", x):
+            raise ValueError(f"expected a decimal integer or a fraction a/b, got {x!r}")
         try:
             f = Fraction(x)
         except ZeroDivisionError:

@@ -184,6 +184,7 @@ def perfect_code(n: int, magnitudes: Sequence[int]) -> LatticeCode:
     No separate tiling check runs: _syndrome_table proves perfectness from the
     coset labels of the errors, and raises NotPerfect if they fall short.
     """
+    n = as_int(n, "n")
     if n < 2:
         raise BadParameters(f"need n >= 2, got {n}")
     sphere = ErrorSphere.per_cell(tuple(magnitudes))

@@ -9,11 +9,11 @@ The Smith normal form is computed only for labels: Z^n / lattice as a
 SplittingSequence, the labels of the unit vectors in Z_d1 + ... + Z_dk.
 A lattice of index vol(c) that holds the chair's tiling rows along some
 cycle of the coordinates is a chair lattice, which tiles the chair
-(chair_cycle).  Other lattices are checked by a search of a box: a walk
-down the Hermite basis or, as the points of label zero, a join of the
-labels of two half-boxes, whichever is smaller for the lattice and box at
-hand.  The torus oracle, an independent tiling check, reads the chair
-points' Hermite residues.
+(chair_cycle).  Other lattices are checked by a search of a box on the
+Hermite form alone: a walk down its first columns, completed by a table of
+the rest of the box keyed by Hermite residue, split where the larger of the
+two is least.  The torus oracle, an independent tiling check, reads the
+chair points' Hermite residues.
 A rational lattice L is handled through its integer model sL, s being the
 least integer with sL inside Z^n.
 """
@@ -25,7 +25,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, product
+from itertools import product
 from typing import Callable, Iterator, Sequence
 
 from . import exactmath
@@ -134,14 +134,14 @@ class SplittingSequence:
             raise DimensionMismatch(f"point has {len(p)} coordinates, labelling is {self.n}-dimensional")
         return tuple([sum(map(operator.mul, p, row)) % d for row, d in self._factors])
 
-    def box_values(self, ranges: Sequence[range], start: int = 0, sign: int = 1) -> list[list[int]]:
-        """Per factor, sign * value(x) for every x of product(*ranges) placed
-        at coordinates start.., in product order, built one axis at a time."""
+    def box_values(self, ranges: Sequence[range]) -> list[list[int]]:
+        """Per factor, value(x) for every x of product(*ranges) placed at
+        coordinates 0.., in product order, built one axis at a time."""
         cols = []
         for r, d in self._factors:
             col = [0]
-            for b, xs in zip(r[start:], ranges):
-                steps = [sign * x * b % d for x in xs]
+            for b, xs in zip(r, ranges):
+                steps = [x * b % d for x in xs]
                 col = [(g + t) % d for g in col for t in steps]
             cols.append(col)
         return cols
@@ -285,78 +285,22 @@ def chair_lattice(c: Chair) -> Lattice:
     return Lattice(chair_rows(c.sides, c.notch))
 
 
-def _value_keys(s: SplittingSequence, ranges: Sequence[range], start: int, sign: int) -> list[int]:
-    """s.box_values with each point's values as one mixed-radix int."""
-    keys = [0] * math.prod(map(len, ranges))
-    radix = 1
-    for col, d in zip(s.box_values(ranges, start, sign), s.divisors):
-        keys = col if radix == 1 else [k + radix * v for k, v in zip(keys, col)]
-        radix *= d
-    return keys
-
-
-def join_size(bounds: Sequence[int]) -> int:
-    """Entries in the larger half table of box_join over the box |x_i| <= bounds[i]."""
-    return _split([max(2 * b + 1, 0) for b in bounds])[0]
-
-
-def _split(sizes: list[int]) -> tuple[int, int]:
-    """(larger half-box, prefix length) of the most even prefix/suffix split."""
-    return min((max(math.prod(sizes[:a]), math.prod(sizes[a:])), a) for a in range(len(sizes) + 1))
-
-
-def box_join(s: SplittingSequence, bounds: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """The points x with |x_i| <= bounds[i] and value(x) = 0, met in the middle.
-
-    The coordinates split into a prefix A and a suffix B whose half-boxes are
-    as equal in size as the split allows.  Every x_A is tabled by its value
-    and every x_B by its negated value, and x_A + x_B has value 0 exactly
-    when the two agree.  Yields each such x_A + x_B, in lexicographic order.
-    The two tables are the memory, and the larger is checked against the
-    budget.
-    """
-    if len(bounds) != s.n:
-        raise DimensionMismatch(f"{len(bounds)} bounds for {s.n} coordinates")
-    ranges = [range(-b, b + 1) for b in bounds]
-    half, a = _split([len(r) for r in ranges])
-    check_budget(half, None, "lattice box join")
-    prefix, suffix = ranges[:a], ranges[a:]
-    keys_a = _value_keys(s, prefix, 0, 1)
-    keys_b = _value_keys(s, suffix, a, -1)
-    completions: dict[int, list[tuple[int, ...]]] = {k: [] for k in set(keys_a).intersection(keys_b)}
-    hits = [k in completions for k in keys_b]
-    for xb, k in zip(compress(product(*suffix), hits), compress(keys_b, hits)):
-        completions[k].append(xb)
-    hits = [k in completions for k in keys_a]
-    for xa, k in zip(compress(product(*prefix), hits), compress(keys_a, hits)):
-        for xb in completions[k]:
-            yield xa + xb
-
-
-def _walk_size(diag: Sequence[int], bounds: Sequence[int]) -> int:
-    """Most nodes _walk visits on a basis with positive diagonal diag: below
-    each node of depth i, the coefficient of basis column i takes at most
-    2*bounds[i] // diag[i] + 1 values."""
-    total = level = 1
-    for i, b in enumerate(bounds):
-        level *= max(2 * b // diag[i] + 1, 0)
-        total += level
-    return total
-
-
-def _walk(h: Sequence[Sequence[int]], bounds: Sequence[int]) -> list[tuple[int, ...]]:
-    """The points of the lattice spanned by the columns of the lower-triangular
-    h, whose diagonal is positive, in the box |x_i| <= bounds[i], in the
-    lexicographic order of their coefficients.  Column i is the last to touch
-    coordinate i, so the walk fixes the coefficients column by column and
-    keeps those that leave x_i inside the box."""
+def _walk(h: Sequence[Sequence[int]], bounds: Sequence[int], depth: int) -> list[tuple[int, ...]]:
+    """The points y of the lattice spanned by columns 0..depth-1 of the
+    lower-triangular h, whose diagonal is positive, with |y_i| <= bounds[i]
+    for i < depth, in the lexicographic order of their coefficients.  Column
+    i is the last to touch coordinate i, so the walk fixes the coefficients
+    column by column and keeps those that leave y_i inside the box; the
+    coordinates from depth on are left where the columns put them."""
     n = len(bounds)
-    last = n - 1
-    cols = [[(r, h[r][i]) for r in range(n) if h[r][i]] for i in range(n)]
+    cols = [[(r, h[r][i]) for r in range(n) if h[r][i]] for i in range(depth)]
     coords = [0] * n
     points: list[tuple[int, ...]] = []
 
     def rec(i: int) -> None:
+        if i == depth:
+            points.append(tuple(coords))
+            return
         d, base = h[i][i], coords[i]
         cmin, cmax = -((bounds[i] + base) // d), (bounds[i] - base) // d
         if cmin > cmax:
@@ -367,10 +311,7 @@ def _walk(h: Sequence[Sequence[int]], bounds: Sequence[int]) -> list[tuple[int, 
         for _ in range(cmin, cmax + 1):
             for r, x in col:
                 coords[r] += x
-            if i < last:
-                rec(i + 1)
-            else:
-                points.append(tuple(coords))
+            rec(i + 1)
         for r, x in col:
             coords[r] -= cmax * x
 
@@ -380,27 +321,46 @@ def _walk(h: Sequence[Sequence[int]], bounds: Sequence[int]) -> list[tuple[int, 
 
 def lattice_points_in_box(lat: Lattice, max_abs: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """All integer-lattice points x with |x_i| <= max_abs[i], zero included,
-    in lexicographic order.
+    in lexicographic order, from the lower-triangular Hermite basis h alone.
 
-    Two exact searches are sized before either runs.  A walk down the
-    lower-triangular Hermite basis visits at most _walk_size nodes, few when
-    the lattice is sparse in the box (large Hermite diagonal entries).  The
-    lattice is the kernel of its labelling, so box_join on it finds the same
-    points with two tables of at most join_size entries, few when the box is
-    small however dense the lattice.  The smaller of the two sizes runs and is
-    checked against the budget.  Both yield in lexicographic order: the walk
-    is lexicographic in the Hermite coefficients, which on a lower-triangular
-    basis with positive diagonal order the points as x does.
+    The coordinates split at some a.  Columns 0..a-1 are the only ones that
+    touch coordinates 0..a-1, so _walk down them finds every prefix y of a
+    point, at most the product of 2*max_abs[i] // h_ii + 1 over i < a.  The
+    rest of the box, z over coordinates a.., is tabled by its residue modulo
+    the Hermite block h[a:][a:], which spans the lattice's points that vanish
+    on coordinates 0..a-1, so y[:a] + z is a point exactly when z and y[a:]
+    share that residue.  The split a minimises the larger of the walk's bound
+    and the table's size, and that is checked against the budget: a = n is a
+    plain walk, a = 0 a scan of the box.  The walk is lexicographic in its
+    coefficients, which on a lower-triangular basis with positive diagonal
+    order the prefixes as y[:a] does, and each table entry lists its z in
+    product order, so the points come out lexicographic.
     """
     bounds = [as_int(b, "a box bound") for b in max_abs]
     if len(bounds) != lat.n:
         raise DimensionMismatch(f"{len(bounds)} bounds for {lat.n} coordinates")
-    h = lat.canonical()
-    nodes = _walk_size([h.entries[i][i] for i in range(lat.n)], bounds)
-    if nodes < join_size(bounds):
-        check_budget(nodes, None, "lattice box walk")
-        return iter(_walk(h.entries, bounds))
-    return box_join(lat.labeling(), bounds)
+    h = lat.canonical().entries
+    steps = [max(2 * b // h[i][i] + 1, 0) for i, b in enumerate(bounds)]
+    cells = [max(2 * b + 1, 0) for b in bounds]
+
+    def charge(a: int) -> int:
+        return max(math.prod(steps[:a]), math.prod(cells[a:]))
+
+    a = min(range(lat.n, -1, -1), key=charge)  # a tie goes to the longer walk, which prunes
+    check_budget(charge(a), None, "lattice box search")
+    return _search(h, bounds, a)
+
+
+def _search(h: Sequence[Sequence[int]], bounds: Sequence[int], a: int) -> Iterator[tuple[int, ...]]:
+    """lattice_points_in_box's search with the split a."""
+    block = tuple(row[a:] for row in h[a:])
+    table: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for z in product(*(range(-b, b + 1) for b in bounds[a:])):
+        table.setdefault(exactmath.hnf_residue(block, z), []).append(z)
+    for y in _walk(h, bounds, a):
+        head = y[:a]
+        for z in table.get(exactmath.hnf_residue(block, y[a:]), ()):
+            yield head + z
 
 
 def chair_cycle(sides: Sequence[Scalar], notch: Sequence[Scalar], member: Callable[[list], bool]) -> bool:

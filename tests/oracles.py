@@ -355,6 +355,48 @@ def reference_lattice_points_in_box(lat: Lattice, max_abs):
     return rec(0)
 
 
+def _value_keys(s: SplittingSequence, ranges, start: int, sign: int) -> list[int]:
+    """sign * s.value(x) for every x of product(*ranges) placed at
+    coordinates start.., in product order, each point's values as one
+    mixed-radix int, built one axis at a time."""
+    keys = [0] * math.prod(map(len, ranges))
+    radix = 1
+    for r, d in zip(s.residues, s.divisors):
+        col = [0]
+        for b, xs in zip(r[start:], ranges):
+            steps = [sign * x * b % d for x in xs]
+            col = [(g + t) % d for g in col for t in steps]
+        keys = col if radix == 1 else [k + radix * v for k, v in zip(keys, col)]
+        radix *= d
+    return keys
+
+
+def reference_box_join(lat: Lattice, bounds) -> Iterator[tuple[int, ...]]:
+    """The points x of the integer lattice lat with |x_i| <= bounds[i], met
+    in the middle on its Smith labels, whose kernel is the lattice.
+
+    The coordinates split into a prefix A and a suffix B whose half-boxes are
+    as equal in size as the split allows.  Every x_A is tabled by its label
+    and every x_B by its negated label, and x_A + x_B is a lattice point
+    exactly when the two agree.  Yields each such x_A + x_B, in lexicographic
+    order.  The larger table is checked against the budget.
+    """
+    s = lat.labeling()
+    if len(bounds) != s.n:
+        raise DimensionMismatch(f"{len(bounds)} bounds for {s.n} coordinates")
+    ranges = [range(-b, b + 1) for b in bounds]
+    sizes = [len(r) for r in ranges]
+    half, a = min((max(math.prod(sizes[:a]), math.prod(sizes[a:])), a) for a in range(len(sizes) + 1))
+    check_budget(half, None, "lattice box join")
+    prefix, suffix = ranges[:a], ranges[a:]
+    completions: dict[int, list[tuple[int, ...]]] = {}
+    for xb, k in zip(product(*suffix), _value_keys(s, suffix, a, -1)):
+        completions.setdefault(k, []).append(xb)
+    for xa, k in zip(product(*prefix), _value_keys(s, prefix, 0, 1)):
+        for xb in completions.get(k, ()):
+            yield xa + xb
+
+
 def reference_verify_splitting(c: Chair, s: SplittingSequence, budget: int | None = None) -> Verdict:
     """Splitting check by labelling every chair point and stopping at the
     first value seen twice."""

@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from chaircodes.chair import Chair, contains, enumerate_points, shifted_copies_intersect, volume
+from chaircodes.chair import Chair, as_exact, contains, enumerate_points, shifted_copies_intersect, volume
 from chaircodes.errors import BudgetExceeded, DimensionMismatch, InvalidChair, NotDiscrete
 
 from oracles import (
@@ -38,6 +38,20 @@ class TestConstruction:
         c = Chair(("5/2", "3/2"), ("3/2", "1/2"))
         assert c.sides == (Fraction(5, 2), Fraction(3, 2))
         assert not c.is_discrete
+
+    @pytest.mark.parametrize("text", ["1e4000000", "1E2", "1_000", " 3 ", "+3", "2.5", "5/-2", "0x10", ""])
+    def test_other_text_rejected(self, text):
+        # only -?[0-9]+(/[0-9]+)? is read: exponent notation built a huge
+        # integer before any check applied
+        with pytest.raises(ValueError, match="expected a decimal integer or a fraction a/b"):
+            as_exact(text)
+        with pytest.raises(InvalidChair, match="expected a decimal integer"):
+            Chair((text, 2), (1, 1))
+
+    @pytest.mark.parametrize("text, value", [("3", 3), ("-3", -3), ("007", 7), ("10/4", Fraction(5, 2)),
+                                             ("-6/3", -2), ("0/5", 0)])
+    def test_decimal_and_fraction_text_accepted(self, text, value):
+        assert as_exact(text) == value and type(as_exact(text)) is type(value)
 
     def test_json_round_trip(self):
         # the "L"/"K" strings of a report's parameters rebuild the chair

@@ -98,7 +98,7 @@ class TestConstruct:
 
     @pytest.mark.parametrize("n", [11, 16, 24])
     def test_chairs_past_the_join(self, capsys, monkeypatch, n):
-        # from n = 11 on the join's half tables need 13^6 > 10^6 entries; the
+        # from n = 11 on a box search is charged 13^6 > 10^6 items; the
         # lattice and the splitting hold the chair's rows, so chair_cycle
         # decides both without a search
         monkeypatch.delenv("CHAIRCODES_BUDGET", raising=False)
@@ -177,8 +177,9 @@ class TestVerify:
         assert json.loads(err)["error"]["type"] == "NotDiscrete"
 
     def test_sparse_lattices_in_large_boxes(self, capsys, tmp_path, monkeypatch):
-        # the join's half tables exceed the budget; the first lattice and
-        # labelling are the chair's, and the walk's few nodes decide the other
+        # the boxes hold millions of cells, past the budget; the first lattice
+        # and labelling are the chair's, and the Hermite walk's few nodes
+        # decide the other
         rc, out, _ = run_cli(capsys, "verify", "--l", "2000000", "--k", "1")
         assert rc == 0
         path = tmp_path / "lat.json"
@@ -193,7 +194,7 @@ class TestVerify:
     @pytest.mark.parametrize("n", [11, 24])
     def test_hermite_basis_past_the_join(self, capsys, tmp_path, monkeypatch, n):
         # the 7^n - 4^n chair lattice in its Hermite basis holds the chair's
-        # rows and has its volume; the join would table 13^6 labels per half
+        # rows and has its volume; a box search would be charged 13^6 items
         monkeypatch.delenv("CHAIRCODES_BUDGET", raising=False)
         rows = chair_lattice(Chair((7,) * n, (4,) * n)).canonical().transpose().entries
         path = tmp_path / "lat.json"

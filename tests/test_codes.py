@@ -378,6 +378,10 @@ TYPED_REFUSALS = {
         (lambda: perfect_code(1, (1,)), BadParameters, "need n >= 2, got 1"),
     "perfect_code, 2 magnitudes for 3 cells":
         (lambda: perfect_code(3, (1, 1)), BadParameters, "3 cells but 2 magnitudes"),
+    "perfect_code, n = 3.0":
+        (lambda: perfect_code(3.0, (1, 1, 1)), BadParameters, "n must be an integer, got 3.0"),
+    "perfect_code, n = '3'":
+        (lambda: perfect_code("3", (1, 1, 1)), BadParameters, "n must be an integer, got '3'"),
     "nonexistence_divisibility_check, ell = 0":
         (lambda: nonexistence_divisibility_check(4, 0), BadParameters, "need ell >= 1, got 0"),
 }

@@ -1,6 +1,7 @@
 import math
 import os
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -27,11 +28,9 @@ from chaircodes.lattice import (
     Lattice,
     SplittingSequence,
     Verdict,
-    box_join,
     chair_cycle,
     chair_lattice,
     chair_rows,
-    join_size,
     lattice_points_in_box,
     torus_tiling_oracle,
     verify_packing,
@@ -48,6 +47,7 @@ from oracles import (
     random_chair,
     random_rational_chair,
     random_unimodular,
+    reference_box_join,
     reference_lattice_points_in_box,
     reference_member,
     reference_torus_tiling_oracle,
@@ -276,7 +276,8 @@ class TestBoxEnumeration:
 
 
 def _box_cases(rng: random.Random, count: int):
-    """(kind, lattice, bounds) for comparing the box join with the HNF walk.
+    """(kind, lattice, bounds) for comparing the box search with the label join
+    and the HNF walk.
 
     Kinds: chair lattices with their packing bounds l_i - 1, perturbed chair
     lattices, dense lattices of volume <= 3, lattices whose quotient has 2-4
@@ -322,12 +323,13 @@ def _box_cases(rng: random.Random, count: int):
 class TestBoxJoin:
     def test_matches_hnf_walk(self):
         # same points in the same order as the walk down the Hermite basis
+        # and the join of half-box labels
         rng = random.Random(101)
         points = Counter()
         factors = Counter()
         for kind, lat, bounds in _box_cases(rng, 2100):
             got = list(lattice_points_in_box(lat, bounds))
-            joined = list(box_join(lat.labeling(), bounds))
+            joined = list(reference_box_join(lat, bounds))
             assert got == joined == list(reference_lattice_points_in_box(lat, bounds)), (kind, lat, bounds)
             points[kind] += len(got)
             factors[len(lat.labeling().divisors)] += kind == "factors"
@@ -337,7 +339,7 @@ class TestBoxJoin:
 
     def test_sparse_lattices_walk_within_budget(self, monkeypatch):
         # large Hermite diagonal entries leave few points in a box whose
-        # half tables exceed the budget; the walk finds them
+        # every half exceeds the budget; the walk finds them
         monkeypatch.setenv("CHAIRCODES_BUDGET", "1000")
         rng = random.Random(131)
         points = 0
@@ -347,7 +349,7 @@ class TestBoxJoin:
                     for i in range(n)]
             lat = Lattice(rows)
             bounds = [rng.randint(1000, 3000) for _ in range(n)]
-            assert join_size(bounds) > 1000
+            assert all(2 * b + 1 > 1000 for b in bounds)
             got = list(lattice_points_in_box(lat, bounds))
             assert got == list(reference_lattice_points_in_box(lat, bounds)), (lat, bounds)
             points += len(got)
@@ -355,18 +357,21 @@ class TestBoxJoin:
 
     def test_budget_covers_the_larger_half(self, monkeypatch):
         lat = chair_lattice(Chair((7,) * 4, (4,) * 4))
-        assert list(lattice_points_in_box(lat, [6] * 4))  # halves of 13^2 cells
+        # split after two coordinates: a walk of 13^2 leaves and a table of
+        # 13^2 cells
+        monkeypatch.setenv("CHAIRCODES_BUDGET", str(13**2))
+        assert len(list(lattice_points_in_box(lat, [6] * 4))) == 5
         monkeypatch.setenv("CHAIRCODES_BUDGET", str(13**2 - 1))
-        with pytest.raises(BudgetExceeded):
-            next(box_join(lat.labeling(), [6] * 4))
+        with pytest.raises(BudgetExceeded, match="search needs 169 items"):
+            lattice_points_in_box(lat, [6] * 4)
 
     def test_budget_covers_the_walk(self, monkeypatch):
-        # a walk of 3,335 nodes against half tables of 10,001 entries
+        # a walk of 3,334 leaves against a table of 10,001 cells
         lat = Lattice([[3]])
-        monkeypatch.setenv("CHAIRCODES_BUDGET", "3334")
-        with pytest.raises(BudgetExceeded):
+        monkeypatch.setenv("CHAIRCODES_BUDGET", "3333")
+        with pytest.raises(BudgetExceeded, match="search needs 3334 items"):
             lattice_points_in_box(lat, [5000])
-        monkeypatch.setenv("CHAIRCODES_BUDGET", "3335")
+        monkeypatch.setenv("CHAIRCODES_BUDGET", "3334")
         assert len(list(lattice_points_in_box(lat, [5000]))) == 3333
 
     def test_bounds_must_match_dimension(self):
@@ -381,12 +386,12 @@ class TestBoxJoin:
         ([[1, 777], [0, 1999999]], (3, 2000000), (1, 1), "copies at 0 and witness overlap"),
     ])
     def test_sparse_lattice_in_large_box(self, rows, sides, notch, reason):
-        # half tables of 4-16 million entries; the walk visits at most 14 nodes
+        # boxes of 4-16 million cells per half; the walk visits at most 14 nodes
         verdict = verify_tiling(Lattice(rows), Chair(sides, notch))
         assert verdict.reason == (reason or "") and verdict.ok == (reason is None)
 
     def test_14d_chair_exceeds_budget(self, monkeypatch):
-        # halves of 13^7 cells and a Hermite walk of about 13^13 nodes, but
+        # a box search charged 13^7 items at its best split, but
         # the lattice holds the chair's rows and has its volume, so no box is
         # searched and nothing is charged
         c = Chair((7,) * 14, (4,) * 14)
@@ -435,7 +440,7 @@ def _band_cases(rng: random.Random, count: int):
 
 class TestBandWalk:
     """lattice_points_in_box on cyclic-bidiagonal (band) bases such as
-    chair_rows, which the Hermite walk or the join searches."""
+    chair_rows."""
 
     def test_matches_hnf_walk(self):
         # lattice_points_in_box gives the points of the walk down the
@@ -456,22 +461,80 @@ class TestBandWalk:
     @pytest.mark.parametrize("n", range(2, 10))
     def test_seven_four_chairs(self, n):
         # the reference walk takes 13^(n-1) steps, so from n = 6 on the
-        # oracle is the join, whose half tables stay within the budget to n = 9
+        # oracle is the join of half-box labels, whose tables stay within the
+        # budget to n = 9
         c = Chair((7,) * n, (4,) * n)
         lat = chair_lattice(c)
         bounds = [6] * n
-        oracle = reference_lattice_points_in_box(lat, bounds) if n < 6 else box_join(lat.labeling(), bounds)
+        oracle = reference_lattice_points_in_box(lat, bounds) if n < 6 else reference_box_join(lat, bounds)
         got = list(lattice_points_in_box(lat, bounds))
         assert got == list(oracle)
         assert len(got) == 5
 
     def test_hermite_walk_kept_within_budget(self, monkeypatch):
-        # a Hermite walk of at most 19 nodes against half tables of 775: with
-        # a budget of 20 the Hermite walk runs
+        # a Hermite walk of at most 9 leaves against a table of 775 cells for
+        # the second coordinate: with a budget of 20 the plain walk runs
         rows, bounds = [[50, -73], [13, -100]], [4, 387]
         lat = Lattice(rows)
         monkeypatch.setenv("CHAIRCODES_BUDGET", "20")
         assert list(lattice_points_in_box(lat, bounds)) == list(reference_lattice_points_in_box(lat, bounds))
+
+
+def _mixed_hermite(rng: random.Random, n: int):
+    """Basis rows (the columns of a lower-triangular Hermite form) and bounds
+    of a lattice that is sparse on some axes and dense on the others: a
+    diagonal entry d of 100-3000 and a bound of d to 4d on the sparse axes, a
+    diagonal entry of 1-3 and a bound of 1-3 on the dense ones."""
+    sparse = [rng.random() < 0.5 for _ in range(n)]
+    sparse[rng.randrange(n)] = True
+    sparse[rng.randrange(n)] = False
+    if rng.random() < 0.5:  # sparse axes first, where a split pays
+        sparse.sort(reverse=True)
+    diag = [rng.randint(100, 3000) if s else rng.randint(1, 3) for s in sparse]
+    h = [[diag[i] if i == j else rng.randrange(diag[i]) * (j < i) for j in range(n)] for i in range(n)]
+    bounds = [rng.randint(d, 4 * d) if s else rng.randint(1, 3) for s, d in zip(sparse, diag)]
+    return [list(col) for col in zip(*h)], bounds
+
+
+class TestSplitSearch:
+    """lattice_points_in_box where its split falls inside: a walk down the
+    first Hermite columns completed by a table of the remaining box."""
+
+    def test_interior_splits_match_hnf_walk(self):
+        rng = random.Random(271)
+        splits = Counter()
+        points = 0
+        for _ in range(600):
+            n = rng.randint(3, 5)
+            rows, bounds = _mixed_hermite(rng, n)
+            lat = Lattice(rows if rng.random() < 0.5 else _mixed(rng, rows))
+            with mock.patch.object(lattice_module, "_search", wraps=lattice_module._search) as search:
+                got = list(lattice_points_in_box(lat, bounds))
+            a = search.call_args.args[2]
+            assert got == list(reference_lattice_points_in_box(lat, bounds)), (rows, bounds, a)
+            splits[0 < a < n] += 1
+            points += len(got)
+        assert splits[True] > 400 and splits[False] > 100 and points > 200_000
+
+    def test_mixed_lattice(self):
+        # sparse on the first two axes and the last, dense on the seven
+        # between: the best split walks six coordinates (at most 4 * 13^4
+        # leaves) and tables four (13^4 cells); the join's larger half table
+        # held 4001^2 * 13 = 208,104,013 labels
+        n = 10
+        h = [[0] * n for _ in range(n)]
+        for i, d in enumerate((3000, 3000) + (1,) * 7 + (4621,)):
+            h[i][i] = d
+        h[1][0] = 17
+        h[9] = [5, 8, 1, 2, 3, 4, 5, 6, 7, 4621]
+        lat = Lattice([list(col) for col in zip(*h)])
+        assert lat.canonical().entries == tuple(map(tuple, h))
+        c = Chair((2001, 2001) + (7,) * 8, (1000, 1000) + (4,) * 8)
+        start = time.perf_counter()
+        verdict = verify_tiling(lat, c)
+        assert time.perf_counter() - start < 1
+        assert verdict == Verdict.failed("copies at 0 and witness overlap", (0, 0, -6, -6, -6, -6, -4, 6, 6, -2))
+        assert verdict == reference_verify_packing(lat, c)
 
 
 def _cycle_rows(sides, notch, order):
@@ -619,14 +682,14 @@ class TestChairCycle:
         # box search decides it against that chair.  For k = 3 its chair holds
         # the 7/4 chair, which therefore packs, and the volumes differ; for
         # k = 5 the sum of its rows, 2*(1, ..., 1), is the overlap witness.
-        # The join decides both to n = 10; at n = 11 its half tables of 13^6
+        # The box search decides both to n = 10; at n = 11 its charge of 13^6
         # entries exceed the default budget and the verdict is BudgetExceeded
         monkeypatch.delenv("CHAIRCODES_BUDGET", raising=False)
         for n in (4, 10, 11):
             lat, c = chair_lattice(Chair((7,) * n, (k,) * n)), Chair((7,) * n, (4,) * n)
             assert not chair_cycle(c.sides, c.notch, lat.member)
             if n == 11:
-                with pytest.raises(BudgetExceeded, match="join needs 4826809 items"):
+                with pytest.raises(BudgetExceeded, match="search needs 4826809 items"):
                     verify_tiling(lat, c)
                 continue
             verdict = verify_tiling(lat, c)
@@ -912,9 +975,6 @@ TYPED_REFUSALS = {
          "needs an integer lattice"),
     "member, 3 coordinates":
         (lambda: chair_lattice(SQUARE).member((1, 2, 3)), DimensionMismatch, "point has 3 coordinates"),
-    "box_join, 3 bounds":
-        (lambda: next(box_join(chair_lattice(SQUARE).labeling(), [1, 1, 1])), DimensionMismatch,
-         "3 bounds for 2 coordinates"),
     # diag(5, 1) has the chair's volume, but (0, 0), (0, 1) and (0, 2) share a coset
     "build_coloring, diag(5, 1)":
         (lambda: build_coloring(Lattice([[5, 0], [0, 1]]), SQUARE, 4), NotATiling,

@@ -5,6 +5,7 @@ truncating it, and accepts well-formed integers.  Code and generator files
 of the wrong shape exit 2 as well."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -195,6 +196,33 @@ def test_zero_denominator_refused(capsys, tmp_path, argv, content, error):
     captured = capsys.readouterr()
     assert (rc, captured.out) == (2, "")
     assert json.loads(captured.err)["error"] == error
+
+
+EXPONENTS = {
+    "verify --l 1e999999999,2": (["verify", "--l", "1e999999999,2", "--k", "1,1"], None,
+                                 {"type": "BadParameters",
+                                  "message": "cannot parse vector '1e999999999,2': expected a decimal "
+                                             "integer or a fraction a/b, got '1e999999999'"}),
+    "verify, generator entry 1e999999999": (VERIFY_FILE, {"generator": [["1e999999999", "0"], ["0", "1"]]},
+                                            {"type": "ValueError",
+                                             "message": "expected a decimal integer or a fraction a/b, "
+                                                        "got '1e999999999'"}),
+}
+
+
+@pytest.mark.parametrize("argv, content, error", EXPONENTS.values(), ids=EXPONENTS.keys())
+def test_exponent_refused_at_once(capsys, tmp_path, argv, content, error):
+    # exponent notation was read as the integer it names, 10^999999999,
+    # before any check applied
+    path = tmp_path / "file.json"
+    path.write_text(json.dumps(content))
+    start = time.perf_counter()
+    rc = main([str(path) if a == "FILE" else a for a in argv])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (2, "")
+    assert json.loads(captured.err)["error"] == error
+    assert elapsed < 0.5
 
 
 @pytest.mark.parametrize("field", ["generator", "n", "t", "magnitudes", "perfect"])
