@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain, combinations, permutations, product
-from operator import countOf, mul, sub
+from operator import countOf, mod, mul, sub
 from typing import Iterator, Sequence
 
 from .budget import as_int, check_budget, parse_int
@@ -102,8 +102,8 @@ class LatticeCode:
     """A lattice packing of the error sphere, with a syndrome table when perfect.
 
     The code is the extension of a linear code over Z_q exactly when the
-    lattice absorbs q along every axis (Lattice.wraps).  Frozen: it caches for
-    decode its labelling's value map, None if the lattice is rational.
+    lattice absorbs q along every axis (Lattice.wraps).  Frozen: it keeps for decode its
+    labelling's (residues, divisor) pairs (None if rational) and its table by _Group's label numbers.
     """
 
     lattice: Lattice
@@ -115,7 +115,12 @@ class LatticeCode:
         if self.lattice.n != self.sphere.n:
             raise BadParameters(f"generator is {self.lattice.n}-dimensional, sphere has n = {self.sphere.n}")
         q = self.lattice.labeling() if self.lattice.is_integer else None
-        object.__setattr__(self, "_label", None if q is None else q.value)
+        divs = () if q is None else q.divisors
+        strides = [math.prod(divs[j + 1:]) for j in range(len(divs))]
+        object.__setattr__(self, "_factors", None if q is None else tuple(zip(q.residues, divs)))
+        object.__setattr__(self, "_errors", {  # a key that is no reduced label never matches
+            sum(map(mul, label, strides)): err for label, err in (self.decode_table or {}).items()
+            if len(label) == len(divs) and label == tuple(map(mod, label, divs))})
 
     def to_json_dict(self) -> dict:
         out = self.sphere.to_json_dict()
@@ -199,16 +204,21 @@ def perfect_code(n: int, magnitudes: Sequence[int]) -> LatticeCode:
 
 
 def decode(code: LatticeCode, received: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Split a received word into (codeword, error) by one coset label and one lookup.
+    """Split a received word into (codeword, error) by its coset label's mixed-radix number.
     Refuses in order: NotPerfect, BadParameters, NonIntegerLattice, DimensionMismatch, KeyError."""
     if not code.perfect or code.decode_table is None:
         raise NotPerfect("decode table is only defined for perfect codes")
     cells = tuple(received)
     if countOf(map(type, cells), int) != len(cells):  # a word of plain ints skips as_int
         cells = tuple([as_int(x, "a received cell") for x in cells])
-    if code._label is None or len(cells) != code.sphere.n:
+    if code._factors is None or len(cells) != code.sphere.n:
         code.lattice.coset_label(cells)  # raises NonIntegerLattice or DimensionMismatch
-    error = code.decode_table[code._label(cells)]
+    i = 0
+    for r, d in code._factors:
+        i = i * d + sum(map(mul, cells, r)) % d
+    if i not in code._errors:
+        raise KeyError(code.lattice.coset_label(cells))
+    error = code._errors[i]
     return tuple(map(sub, cells, error)), error
 
 

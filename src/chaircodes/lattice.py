@@ -173,7 +173,7 @@ class Lattice:
         self.scale = math.lcm(*(x.denominator for row in gen for x in row))
         self._matrix = IntMatrix(tuple(tuple(int(x * self.scale) for x in row) for row in gen))
         try:  # the Hermite form of the integer model sL, columns as basis
-            self._hermite = exactmath.hermite_normal_form(self._matrix.transpose())
+            self._hermite = exactmath.hermite_normal_form(self._matrix, by_rows=True)
         except SingularMatrix:
             raise SingularMatrix("basis rows are linearly dependent") from None
         diagonal = math.prod(row[i] for i, row in enumerate(self._hermite.entries))
@@ -188,11 +188,6 @@ class Lattice:
         if not self.is_integer:
             raise NonIntegerLattice("lattice has rational basis vectors")
         return self._matrix
-
-    def integer_model(self) -> Lattice:
-        """The lattice scaled by scale, the least s with sL inside Z^n (itself
-        when integral, a new Lattice on each call otherwise)."""
-        return self if self.is_integer else Lattice(self._matrix.entries)
 
     def canonical(self) -> IntMatrix:
         """Canonical form: column-style HNF of the transposed generator, built
@@ -320,8 +315,8 @@ def _walk(h: Sequence[Sequence[int]], bounds: Sequence[int], depth: int) -> list
 
 
 def lattice_points_in_box(lat: Lattice, max_abs: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """All integer-lattice points x with |x_i| <= max_abs[i], zero included,
-    in lexicographic order, from the lower-triangular Hermite basis h alone.
+    """All points x of the integer model sL with |x_i| <= max_abs[i], zero
+    included, in lexicographic order, from its lower-triangular Hermite basis h.
 
     The coordinates split at some a.  Columns 0..a-1 are the only ones that
     touch coordinates 0..a-1, so _walk down them finds every prefix y of a
@@ -339,7 +334,7 @@ def lattice_points_in_box(lat: Lattice, max_abs: Sequence[int]) -> Iterator[tupl
     bounds = [as_int(b, "a box bound") for b in max_abs]
     if len(bounds) != lat.n:
         raise DimensionMismatch(f"{len(bounds)} bounds for {lat.n} coordinates")
-    h = lat.canonical().entries
+    h = lat._hermite.entries
     steps = [max(2 * b // h[i][i] + 1, 0) for i, b in enumerate(bounds)]
     cells = [max(2 * b + 1, 0) for b in bounds]
 
@@ -401,7 +396,7 @@ def verify_packing(lat: Lattice, c: Chair) -> Verdict:
         return Verdict.passed()
     s = lat.scale
     bounds = [math.ceil(s * l) - 1 for l in c.sides]
-    for x in lattice_points_in_box(lat.integer_model(), bounds):
+    for x in lattice_points_in_box(lat, bounds):
         if not any(x):
             continue
         shift = x if s == 1 else tuple(as_exact(Fraction(xi, s)) for xi in x)

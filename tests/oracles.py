@@ -304,6 +304,12 @@ def reference_perfect_search(n: int, t: int, ell: int) -> SearchVerdict:
     return SearchVerdict("Found" if found else "NoPerfectCode", examined=examined, found=tuple(found))
 
 
+def scaled_rows(lat: Lattice) -> list[list[int]]:
+    """The generator of the integer model sL: every row times the scale s,
+    the least integer with sL inside Z^n."""
+    return [[int(x * lat.scale) for x in row] for row in lat.generator]
+
+
 def reference_member(lat: Lattice, p) -> bool:
     """Lattice.member by the Smith labelling rather than the Hermite form:
     s*p must be an integer vector in the kernel of the labelling of the
@@ -313,7 +319,7 @@ def reference_member(lat: Lattice, p) -> bool:
     sp = [x * lat.scale for x in p]
     if any(x.denominator != 1 for x in sp):
         return False
-    return not any(lat.integer_model().labeling().value([int(x) for x in sp]))
+    return not any(Lattice(scaled_rows(lat)).labeling().value([int(x) for x in sp]))
 
 
 def reference_lattice_points_in_box(lat: Lattice, max_abs):

@@ -222,6 +222,9 @@ NO_TABLE = LatticeCode(CUBE_CODE.lattice, CUBE_CODE.sphere, True)
 RATIONAL = LatticeCode(Lattice([[Fraction(1, 2), 0], [0, 1]]), ErrorSphere.per_cell((1, 1)), True, {})
 PARTIAL = LatticeCode(CUBE_CODE.lattice, CUBE_CODE.sphere, True,
                       {label: e for label, e in CUBE_CODE.decode_table.items() if any(e)})
+TWO_FACTOR = perfect_code(4, (1, 2, 1, 2))  # quotient Z_2 + Z_16
+PARTIAL_TWO_FACTOR = LatticeCode(TWO_FACTOR.lattice, TWO_FACTOR.sphere, True,
+                                 {label: e for label, e in TWO_FACTOR.decode_table.items() if label != (1, 4)})
 NOT_INT = "a received cell must be an integer, got "
 NOT_TABLED = "decode table is only defined for perfect codes"
 NOT_INTEGRAL = "coset labels need an integer lattice"
@@ -244,6 +247,7 @@ DECODE_REFUSALS = {
     "partial table, wrong length": (PARTIAL, (0, 0), DimensionMismatch,
                                     "point has 2 coordinates, lattice is 3-dimensional"),
     "partial table": (PARTIAL, (0, 0, 0), KeyError, "(0,)"),
+    "partial two-factor table": (PARTIAL_TWO_FACTOR, (0, 1, 0, 1), KeyError, "(1, 4)"),
 }
 
 
@@ -306,6 +310,32 @@ class TestDecode:
                     assert all(type(part) is tuple for part in got)
                     assert all(type(x) is int for part in got for x in part)
         assert factors == {1, 2}
+
+    @pytest.mark.parametrize("key", [(0, 16), (1,), (1, 0, 0)])
+    def test_key_outside_the_quotient_never_matches(self, key):
+        # no key here is a label of Z_2 + Z_16, though each has the mixed-radix
+        # number 16 of (1, 0), the label of the error (1, 1, 0, 2)
+        table = dict(TWO_FACTOR.decode_table)
+        table[key] = table.pop((1, 0))
+        code = LatticeCode(TWO_FACTOR.lattice, TWO_FACTOR.sphere, True, table)
+        row = TWO_FACTOR.lattice.generator[0]
+        for word in [(1, 1, 0, 2), tuple(a + b for a, b in zip(row, (1, 1, 0, 2)))]:
+            with pytest.raises(KeyError) as info:
+                decode(code, word)
+            assert str(info.value) == "(1, 0)"
+        assert decode(code, (0, 1, 0, 1)) == ((0, 0, 0, 0), (0, 1, 0, 1))
+
+    def test_cache_is_sized_by_the_table(self):
+        # the quotient Z_10^12 is never enumerated: an empty table builds at
+        # once, and a one-entry table decodes the one label it holds
+        lat = Lattice([[10**12, 0], [0, 1]])
+        code = LatticeCode(lat, ErrorSphere.per_cell((1, 1)), True, {})
+        assert lat.labeling().divisors == (10**12,)
+        with pytest.raises(KeyError) as info:
+            decode(code, (5, 7))
+        assert str(info.value) == "(5,)"
+        code = LatticeCode(lat, ErrorSphere.per_cell((1, 1)), True, {(1,): (1, 0)})
+        assert decode(code, (1 + 10**12, 3)) == ((10**12, 3), (1, 0))
 
     @pytest.mark.parametrize("case", DECODE_REFUSALS.keys())
     def test_refusal_order(self, case):

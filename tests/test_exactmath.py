@@ -143,6 +143,15 @@ class TestHermiteNormalForm:
             with pytest.raises(SingularMatrix):
                 xm.hermite_normal_form(IntMatrix(rows))
 
+    def test_by_rows_is_the_form_of_the_transpose(self):
+        rng = random.Random(32)
+        for _ in range(120):
+            m = _nonsingular(rng, rng.randint(1, 5))
+            assert xm.hermite_normal_form(m, by_rows=True) == xm.hermite_normal_form(m.transpose())
+        for rows in SINGULAR:
+            with pytest.raises(SingularMatrix):
+                xm.hermite_normal_form(IntMatrix(rows), by_rows=True)
+
     def test_idempotent_and_canonical(self):
         rng = random.Random(31)
         for _ in range(120):

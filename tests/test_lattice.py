@@ -52,6 +52,7 @@ from oracles import (
     reference_member,
     reference_torus_tiling_oracle,
     reference_verify_packing,
+    scaled_rows,
 )
 
 
@@ -274,6 +275,12 @@ class TestBoxEnumeration:
             }
             assert pts == expected
 
+    def test_rational_lattice_searches_its_integer_model(self):
+        lat = Lattice([["5/2", 0], [0, "3/2"]])
+        points = list(lattice_points_in_box(lat, [5, 3]))
+        assert points == [(-5, -3), (-5, 0), (-5, 3), (0, -3), (0, 0), (0, 3), (5, -3), (5, 0), (5, 3)]
+        assert points == list(lattice_points_in_box(Lattice(scaled_rows(lat)), [5, 3]))
+
 
 def _box_cases(rng: random.Random, count: int):
     """(kind, lattice, bounds) for comparing the box search with the label join
@@ -307,7 +314,7 @@ def _box_cases(rng: random.Random, count: int):
             d = IntMatrix(tuple(tuple(diag[i] if i == j else 0 for j in range(n)) for i in range(n)))
             rows = (random_unimodular(n, rng) @ d @ random_unimodular(n, rng)).entries
         elif kind == "rational":
-            rows = chair_lattice(random_rational_chair(rng, n)).integer_model().generator
+            rows = scaled_rows(chair_lattice(random_rational_chair(rng, n)))
         else:
             c = random_chair(rng, n, 4)
             rows = chair_lattice(c).generator
@@ -318,6 +325,7 @@ def _box_cases(rng: random.Random, count: int):
             continue
         made += 1
         yield kind, lat, bounds
+
 
 
 class TestBoxJoin:
@@ -433,7 +441,7 @@ def _band_cases(rng: random.Random, count: int):
             sides = [Fraction(rng.randint(den + 1, 3 * den), den) for _ in range(n)]
             c = Chair(tuple(sides), tuple(Fraction(rng.randint(1, int(l * den) - 1), den) for l in sides))
             lat = chair_lattice(c)
-            rows = lat.generator_matrix().entries if lat.is_integer else lat.integer_model().generator
+            rows = scaled_rows(lat)
             bounds = [math.ceil(lat.scale * l) - 1 for l in c.sides]
         yield kind, rows, bounds
 
@@ -786,6 +794,23 @@ class TestVerifyTiling:
         assert not verdict.ok
         assert verdict.witness is not None
 
+    @pytest.mark.parametrize("rows, expected", [
+        ([["5/2", 0], [0, "3/2"]],
+         Verdict.failed("volume mismatch", lattice_volume=Fraction(15, 4), chair_volume=3)),
+        ([["3/2", "1/2"], [0, "3/2"]],
+         Verdict.failed("copies at 0 and witness overlap", (Fraction(-3, 2), Fraction(-1, 2)))),
+    ])
+    def test_rational_lattice_builds_no_second_lattice(self, monkeypatch, rows, expected):
+        # the box search runs on the lattice's own Hermite form, so checking a
+        # rational lattice builds no Lattice for its integer model
+        c = Chair((Fraction(5, 2), Fraction(3, 2)), (Fraction(3, 2), Fraction(1, 2)))
+        lat = Lattice(rows)
+        builds = []
+        init = Lattice.__init__
+        monkeypatch.setattr(Lattice, "__init__", lambda self, rows: builds.append(rows) or init(self, rows))
+        assert verify_tiling(lat, c) == expected
+        assert builds == []
+
     def test_scaled_lattice_volume_mismatch(self):
         c = Chair((3, 3), (2, 2))
         lat = Lattice([[6, -4], [-4, 6]])
@@ -827,7 +852,7 @@ class TestTorusOracle:
     def test_needs_discrete_chair(self):
         c = Chair((Fraction(5, 2), Fraction(3, 2)), (Fraction(3, 2), Fraction(1, 2)))
         with pytest.raises(NotDiscrete):
-            torus_tiling_oracle(chair_lattice(c).integer_model(), c)
+            torus_tiling_oracle(Lattice(scaled_rows(chair_lattice(c))), c)
 
     def test_agrees_with_verify_tiling(self):
         rng = random.Random(41)
