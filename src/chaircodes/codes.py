@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 from itertools import chain, combinations, permutations, product
 from operator import countOf, mod, mul, sub
 from typing import Iterator, Sequence
@@ -102,8 +102,8 @@ class LatticeCode:
     """A lattice packing of the error sphere, with a syndrome table when perfect.
 
     The code is the extension of a linear code over Z_q exactly when the
-    lattice absorbs q along every axis (Lattice.wraps).  Frozen: it keeps for decode its
-    labelling's (residues, divisor) pairs (None if rational) and its table by _Group's label numbers.
+    lattice absorbs q along every axis (Lattice.wraps).  Frozen: it keeps for decode its labelling's
+    (residues, divisor) pairs, None if rational, and its table keyed by _Group's label numbers.
     """
 
     lattice: Lattice
@@ -116,10 +116,10 @@ class LatticeCode:
             raise BadParameters(f"generator is {self.lattice.n}-dimensional, sphere has n = {self.sphere.n}")
         q = self.lattice.labeling() if self.lattice.is_integer else None
         divs = () if q is None else q.divisors
-        strides = [math.prod(divs[j + 1:]) for j in range(len(divs))]
         object.__setattr__(self, "_factors", None if q is None else tuple(zip(q.residues, divs)))
         object.__setattr__(self, "_errors", {  # a key that is no reduced label never matches
-            sum(map(mul, label, strides)): err for label, err in (self.decode_table or {}).items()
+            reduce(lambda i, xd: i * xd[1] + xd[0], zip(label, divs), 0): err
+            for label, err in (self.decode_table or {}).items()
             if len(label) == len(divs) and label == tuple(map(mod, label, divs))})
 
     def to_json_dict(self) -> dict:

@@ -38,9 +38,9 @@ class IntMatrix:
         return len(self.entries[0]) if self.entries else 0
 
     def transpose(self) -> IntMatrix:
-        if not self.entries:
-            return self
-        return IntMatrix(tuple(zip(*self.entries)))
+        t = object.__new__(IntMatrix)  # validated rows transpose to valid rows
+        object.__setattr__(t, "entries", tuple(zip(*self.entries)))
+        return t
 
     def __matmul__(self, other: IntMatrix) -> IntMatrix:
         if self.cols != other.rows:
@@ -143,8 +143,8 @@ def _echelon(a: list[list[int]], mirror: list[list[int]] | None, rows: int) -> i
     return rank
 
 
-def hermite_normal_form(m: IntMatrix, by_rows: bool = False) -> IntMatrix:
-    """Canonical basis of the lattice spanned by the columns of m (its rows if by_rows).
+def hermite_normal_form(m: IntMatrix) -> IntMatrix:
+    """Canonical basis of the lattice spanned by the columns of m.
 
     Convention: lower triangular, positive diagonal, and in each row the
     entries left of the diagonal reduced into [0, diagonal).  Two matrices
@@ -153,7 +153,7 @@ def hermite_normal_form(m: IntMatrix, by_rows: bool = False) -> IntMatrix:
     """
     if m.rows != m.cols:
         raise NonSquare(f"hermite_normal_form needs a square matrix, got {m.rows}x{m.cols}")
-    h = [list(v) for v in (m.entries if by_rows else zip(*m.entries))]  # h[j] is basis vector j
+    h = [list(col) for col in zip(*m.entries)]  # h[j] is column j
     n = m.rows
     if _echelon(h, None, n) < n:
         raise SingularMatrix("hermite_normal_form needs det != 0")

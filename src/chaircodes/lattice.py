@@ -173,7 +173,7 @@ class Lattice:
         self.scale = math.lcm(*(x.denominator for row in gen for x in row))
         self._matrix = IntMatrix(tuple(tuple(int(x * self.scale) for x in row) for row in gen))
         try:  # the Hermite form of the integer model sL, columns as basis
-            self._hermite = exactmath.hermite_normal_form(self._matrix, by_rows=True)
+            self._hermite = exactmath.hermite_normal_form(self._matrix.transpose())
         except SingularMatrix:
             raise SingularMatrix("basis rows are linearly dependent") from None
         diagonal = math.prod(row[i] for i, row in enumerate(self._hermite.entries))
@@ -315,8 +315,8 @@ def _walk(h: Sequence[Sequence[int]], bounds: Sequence[int], depth: int) -> list
 
 
 def lattice_points_in_box(lat: Lattice, max_abs: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """All points x of the integer model sL with |x_i| <= max_abs[i], zero
-    included, in lexicographic order, from its lower-triangular Hermite basis h.
+    """All integer-lattice points x with |x_i| <= max_abs[i], zero included,
+    in lexicographic order, from the lower-triangular Hermite basis h alone.
 
     The coordinates split at some a.  Columns 0..a-1 are the only ones that
     touch coordinates 0..a-1, so _walk down them finds every prefix y of a
@@ -334,20 +334,24 @@ def lattice_points_in_box(lat: Lattice, max_abs: Sequence[int]) -> Iterator[tupl
     bounds = [as_int(b, "a box bound") for b in max_abs]
     if len(bounds) != lat.n:
         raise DimensionMismatch(f"{len(bounds)} bounds for {lat.n} coordinates")
-    h = lat._hermite.entries
+    return _box_search(lat.canonical().entries, bounds)
+
+
+def _box_search(h: Sequence[Sequence[int]], bounds: list[int]) -> Iterator[tuple[int, ...]]:
+    """lattice_points_in_box on the Hermite basis h: the split and its charge."""
     steps = [max(2 * b // h[i][i] + 1, 0) for i, b in enumerate(bounds)]
     cells = [max(2 * b + 1, 0) for b in bounds]
 
     def charge(a: int) -> int:
         return max(math.prod(steps[:a]), math.prod(cells[a:]))
 
-    a = min(range(lat.n, -1, -1), key=charge)  # a tie goes to the longer walk, which prunes
+    a = min(range(len(h), -1, -1), key=charge)  # a tie goes to the longer walk, which prunes
     check_budget(charge(a), None, "lattice box search")
     return _search(h, bounds, a)
 
 
 def _search(h: Sequence[Sequence[int]], bounds: Sequence[int], a: int) -> Iterator[tuple[int, ...]]:
-    """lattice_points_in_box's search with the split a."""
+    """_box_search with the split a."""
     block = tuple(row[a:] for row in h[a:])
     table: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for z in product(*(range(-b, b + 1) for b in bounds[a:])):
@@ -396,7 +400,7 @@ def verify_packing(lat: Lattice, c: Chair) -> Verdict:
         return Verdict.passed()
     s = lat.scale
     bounds = [math.ceil(s * l) - 1 for l in c.sides]
-    for x in lattice_points_in_box(lat, bounds):
+    for x in _box_search(lat._hermite.entries, bounds):
         if not any(x):
             continue
         shift = x if s == 1 else tuple(as_exact(Fraction(xi, s)) for xi in x)

@@ -143,15 +143,6 @@ class TestHermiteNormalForm:
             with pytest.raises(SingularMatrix):
                 xm.hermite_normal_form(IntMatrix(rows))
 
-    def test_by_rows_is_the_form_of_the_transpose(self):
-        rng = random.Random(32)
-        for _ in range(120):
-            m = _nonsingular(rng, rng.randint(1, 5))
-            assert xm.hermite_normal_form(m, by_rows=True) == xm.hermite_normal_form(m.transpose())
-        for rows in SINGULAR:
-            with pytest.raises(SingularMatrix):
-                xm.hermite_normal_form(IntMatrix(rows), by_rows=True)
-
     def test_idempotent_and_canonical(self):
         rng = random.Random(31)
         for _ in range(120):
@@ -208,6 +199,15 @@ class TestIntMatrix:
     def test_transpose_involution(self):
         m = IntMatrix(((1, 2, 3), (4, 5, 6)))
         assert m.transpose().transpose() == m
+
+    def test_transpose_equals_the_validated_matrix(self):
+        # transpose skips the row checks, so its result must equal (and hash
+        # like) the IntMatrix built from the same rows with them
+        for rows in [(), ((7,),), ((1, 2, 3), (4, 5, 6)), ((-1, 0), (2**70, 3), (5, -6))]:
+            t = IntMatrix(rows).transpose()
+            expected = IntMatrix(tuple(zip(*rows)))
+            assert t == expected and hash(t) == hash(expected)
+            assert (t.rows, t.cols) == (expected.rows, expected.cols)
 
 
 def _square_inputs(count: int, seed: int) -> list[tuple[tuple[int, ...], ...]]:

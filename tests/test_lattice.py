@@ -275,11 +275,13 @@ class TestBoxEnumeration:
             }
             assert pts == expected
 
-    def test_rational_lattice_searches_its_integer_model(self):
-        lat = Lattice([["5/2", 0], [0, "3/2"]])
-        points = list(lattice_points_in_box(lat, [5, 3]))
-        assert points == [(-5, -3), (-5, 0), (-5, 3), (0, -3), (0, 0), (0, 3), (5, -3), (5, 0), (5, 3)]
-        assert points == list(lattice_points_in_box(Lattice(scaled_rows(lat)), [5, 3]))
+    def test_rational_lattice_refused(self):
+        # the points of sL are not those of L: for L spanned by (1/2, 1/2) and
+        # (0, 1), sL = 2L misses L's point (1, 0), so the call refuses at once
+        lat = Lattice([[Fraction(1, 2), Fraction(1, 2)], [0, 1]])
+        assert lat.member((1, 0))
+        with pytest.raises(NonIntegerLattice, match="rational basis vectors"):
+            lattice_points_in_box(lat, [2, 2])
 
 
 def _box_cases(rng: random.Random, count: int):
@@ -325,7 +327,6 @@ def _box_cases(rng: random.Random, count: int):
             continue
         made += 1
         yield kind, lat, bounds
-
 
 
 class TestBoxJoin:
