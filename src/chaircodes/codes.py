@@ -22,7 +22,7 @@ from typing import Iterator, Sequence
 from .budget import as_int, check_budget, parse_int
 from .chair import Chair
 from .errors import BadParameters, HypothesisViolated, NotPerfect
-from .exactmath import IntMatrix, mod_inverse
+from .exactmath import IntMatrix, labelling_kernel
 from .lattice import Lattice, chair_lattice, sorted_detail
 from .splitting import general_chair_splitting, splitting_to_lattice
 
@@ -326,43 +326,10 @@ class _Group:
         return tuple(moves)
 
     def kernel(self, beta: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-        """Hermite normal form (exactmath.hermite_normal_form's convention,
-        row-wise) of the lattice of integer vectors v with sum v_i beta_i = 0.
-
-        The kernel is cut out one factor at a time.  In Z_d it is closed form
-        (_cyclic_kernel).  Once a basis B of the vectors whose digits vanish
-        in the factors before c is known, the next kernel is B times the
-        cyclic kernel of the digit-c labels of B's columns; both are lower
-        triangular, so the product is too, and reducing each entry modulo the
-        diagonal of its row puts it in Hermite form.
-        """
-        n = len(beta)
-        factors = list(zip(self.divs, self.strides))
-        d, stride = factors[0]
-        rows = _cyclic_kernel([b // stride % d for b in beta], d)
-        for d, stride in factors[1:]:
-            labels = [b // stride % d for b in beta]
-            cut = _cyclic_kernel([sum(map(mul, column, labels)) % d for column in zip(*rows)], d)
-            # rows = rows @ cut.  Only a row r of cut with diagonal e > 1 has
-            # entries left of it: it adds column r into those columns, then
-            # scales column r, whose old value no other row of cut reads
-            for r in range(n):
-                e = cut[r][r]
-                if e > 1:
-                    for i in range(r):
-                        h = cut[r][i]
-                        if h:
-                            for j in range(r, n):
-                                rows[j][i] += h * rows[j][r]
-                    for j in range(r, n):
-                        rows[j][r] *= e
-            for i in range(n):
-                for j in range(i + 1, n):
-                    q = rows[j][i] // rows[j][j]
-                    if q:
-                        for r in range(j, n):
-                            rows[r][i] -= q * rows[r][j]
-        return tuple(map(tuple, rows))
+        """Hermite normal form, row-wise, of the lattice of integer vectors v
+        with sum v_i beta_i = 0: exactmath.labelling_kernel of beta's digits."""
+        factors = [([b // stride % d for b in beta], d) for d, stride in zip(self.divs, self.strides)]
+        return labelling_kernel(factors, len(beta))
 
     def splittings(self, n: int, t: int, ell: int) -> Iterator[tuple[int, ...]]:
         """Every strictly increasing beta in G^n, t >= 1, under which the
@@ -441,30 +408,6 @@ def _shift(mask: int, moves: tuple[tuple[int, int, int], ...]) -> int:
         kept = mask & low
         mask = (kept << rise) | ((mask ^ kept) >> fall)
     return mask
-
-
-def _cyclic_kernel(labels: Sequence[int], d: int) -> list[list[int]]:
-    """The kernel of the labelling of Z^n by labels in Z_d, in Hermite form.
-    Let g_i = gcd(d, labels_i, ..., labels_{n-1}), g_n = d, so the labels
-    from i on span g_i Z_d.  The kernel vectors that vanish left of i have
-    i-th entries in (g_{i+1} / g_i) Z: that is the diagonal.  Column i goes
-    on with the unique h_ji in [0, d_j) that keeps its partial sum
-    d_i labels_i + ... + h_ji labels_j in g_{j+1} Z_d, one modular solve."""
-    n = len(labels)
-    rows = [[0] * n for _ in range(n)]
-    g = [d] * (n + 1)
-    for i in reversed(range(n)):
-        g[i] = math.gcd(labels[i], g[i + 1])
-    partial = [0] * n  # partial[i]: column i's sum so far
-    for j in range(n):
-        rows[j][j] = e = g[j + 1] // g[j]
-        partial[j] = e * labels[j]
-        if e > 1:
-            inverse = mod_inverse(labels[j] // g[j], e)
-            for i in range(j):
-                rows[j][i] = h = -(partial[i] % d // g[j]) * inverse % e
-                partial[i] += h * labels[j]
-    return rows
 
 
 def _orbit_least(divs: Sequence[int]) -> list[int]:

@@ -6,6 +6,7 @@ Nothing in this module (or in the verifiers built on it) touches a float.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from typing import Sequence
@@ -37,10 +38,15 @@ class IntMatrix:
     def cols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
 
+    @classmethod
+    def _built(cls, rows: tuple[tuple[int, ...], ...]) -> IntMatrix:
+        """The library's own rows, equal-length tuples of ints, taken unchecked."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "entries", rows)
+        return m
+
     def transpose(self) -> IntMatrix:
-        t = object.__new__(IntMatrix)  # validated rows transpose to valid rows
-        object.__setattr__(t, "entries", tuple(zip(*self.entries)))
-        return t
+        return IntMatrix._built(tuple(zip(*self.entries)))  # validated rows transpose to valid rows
 
     def __matmul__(self, other: IntMatrix) -> IntMatrix:
         if self.cols != other.rows:
@@ -161,7 +167,7 @@ def hermite_normal_form(m: IntMatrix) -> IntMatrix:
         if h[i][i] < 0:
             h[i] = [-x for x in h[i]]
         _sweep(h, None, i, i, range(i))  # reduce row i left of the diagonal
-    return IntMatrix(tuple(zip(*h)))
+    return IntMatrix._built(tuple(zip(*h)))
 
 
 def hnf_residue(h: tuple[tuple[int, ...], ...], p: Sequence[int]) -> tuple[int, ...]:
@@ -192,8 +198,8 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     if m.rows != m.cols:
         raise NonSquare(f"smith_normal_form needs a square matrix, got {m.rows}x{m.cols}")
     n = m.rows
-    a = list(m.entries)
-    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    a = [list(row) for row in m.entries]
+    u = [[0] * i + [1] + [0] * (n - i - 1) for i in range(n)]
     v = [row[:] for row in u]  # v[j] is column j
     for k in range(n):
         while True:
@@ -213,18 +219,24 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             if a[k][pj] < 0:
                 a[k] = [-x for x in a[k]]
                 u[k] = [-x for x in u[k]]
-            # row operations commute with the column swap, so it waits for the transpose
+            # row operations commute with the column swap, so it waits for them
             rows_done = _sweep(a, u, k, pj, range(k + 1, n))
-            at = list(zip(*a))
             if pj != k:
-                at[k], at[pj] = at[pj], at[k]
+                for row in a[k:]:  # rows above k are zero from column k on
+                    row[k], row[pj] = row[pj], row[k]
                 v[k], v[pj] = v[pj], v[k]
-            cols_done = _sweep(at, v, k, k, range(k + 1, n))
-            a = list(zip(*at))
-            if not (rows_done and cols_done):
+            # the column sweep in place: every quotient comes from row k
+            d = a[k][k]
+            steps = [(j, q) for j in range(k + 1, n) if (q := a[k][j] // d)]
+            for row in a[k:]:
+                if x := row[k]:
+                    for j, q in steps:
+                        row[j] -= q * x
+            for j, q in steps:
+                v[j] = [x - q * y for x, y in zip(v[j], v[k])]
+            if not rows_done or any(a[k][k + 1:]):
                 continue
             # row k and column k are clear; enforce d | every remaining entry
-            d = a[k][k]
             offender = None
             for i in range(k + 1, n):
                 if any(x % d for x in a[i][k + 1 :]):
@@ -234,12 +246,72 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                 break
             a[k] = [x + y for x, y in zip(a[k], a[offender])]
             u[k] = [x + y for x, y in zip(u[k], u[offender])]
-    return IntMatrix(tuple(u)), IntMatrix(tuple(a)), IntMatrix(tuple(zip(*v)))
+    return tuple(IntMatrix._built(tuple(map(tuple, x))) for x in (u, a, zip(*v)))
 
 
 def integer_kernel(m: IntMatrix) -> IntMatrix:
     """Basis (as rows) of the right kernel {v : m @ v = 0} over the integers."""
     a = [list(col) for col in zip(*m.entries)]  # a[j] is column j
-    v = [[int(i == j) for i in range(m.cols)] for j in range(m.cols)]  # v[j] is column j
+    v = [[0] * j + [1] + [0] * (m.cols - j - 1) for j in range(m.cols)]  # v[j] is column j
     rank = _echelon(a, v, m.rows)
-    return IntMatrix(tuple(v[rank:]))
+    return IntMatrix._built(tuple(map(tuple, v[rank:])))
+
+
+def labelling_kernel(factors: Sequence[tuple[Sequence[int], int]], n: int) -> tuple[tuple[int, ...], ...]:
+    """Hermite normal form (hermite_normal_form's convention), row by row,
+    of the lattice of v in Z^n with sum v_i labels_i = 0 modulo d for every
+    (labels, d) in factors, which may be empty.  It is cut out one factor at
+    a time, in closed form in Z_d (_cyclic_kernel).  Once a basis B of the
+    vectors whose labels vanish in the factors before c is known, the next
+    kernel is B times the cyclic kernel of the factor-c labels of B's
+    columns; both are lower triangular, so the product is too, and reducing
+    each entry modulo the diagonal of its row puts it in Hermite form."""
+    if not factors:
+        return IntMatrix.identity(n).entries
+    rows = _cyclic_kernel(*factors[0])
+    for labels, d in factors[1:]:
+        cut = _cyclic_kernel([sum(map(operator.mul, column, labels)) % d for column in zip(*rows)], d)
+        # rows = rows @ cut.  Only a row r of cut with diagonal e > 1 has
+        # entries left of it: it adds column r into those columns, then
+        # scales column r, whose old value no other row of cut reads
+        for r in range(n):
+            e = cut[r][r]
+            if e > 1:
+                for i in range(r):
+                    h = cut[r][i]
+                    if h:
+                        for j in range(r, n):
+                            rows[j][i] += h * rows[j][r]
+                for j in range(r, n):
+                    rows[j][r] *= e
+        for i in range(n):
+            for j in range(i + 1, n):
+                q = rows[j][i] // rows[j][j]
+                if q:
+                    for r in range(j, n):
+                        rows[r][i] -= q * rows[r][j]
+    return tuple(map(tuple, rows))
+
+
+def _cyclic_kernel(labels: Sequence[int], d: int) -> list[list[int]]:
+    """The kernel of the labelling of Z^n by labels in Z_d, in Hermite form.
+    Let g_i = gcd(d, labels_i, ..., labels_{n-1}), g_n = d, so the labels
+    from i on span g_i Z_d.  The kernel vectors that vanish left of i have
+    i-th entries in (g_{i+1} / g_i) Z: that is the diagonal.  Column i goes
+    on with the unique h_ji in [0, d_j) that keeps its partial sum
+    d_i labels_i + ... + h_ji labels_j in g_{j+1} Z_d, one modular solve."""
+    n = len(labels)
+    rows = [[0] * n for _ in range(n)]
+    g = [d] * (n + 1)
+    for i in reversed(range(n)):
+        g[i] = math.gcd(labels[i], g[i + 1])
+    partial = [0] * n  # partial[i]: column i's sum so far
+    for j in range(n):
+        rows[j][j] = e = g[j + 1] // g[j]
+        partial[j] = e * labels[j]
+        if e > 1:
+            inverse = mod_inverse(labels[j] // g[j], e)
+            for i in range(j):
+                rows[j][i] = h = -(partial[i] % d // g[j]) * inverse % e
+                partial[i] += h * labels[j]
+    return rows

@@ -2,9 +2,10 @@
 packing / tiling verification against chair shapes.
 
 A lattice is stored by its generator matrix whose *rows* are the basis
-vectors, and built with one normal form: the Hermite normal form of the
-transposed generator of its integer model (columns as basis).  Its diagonal
-gives the volume, its equality the lattice's, and its residues membership.
+vectors, with one normal form: the Hermite normal form of the transposed
+generator of its integer model (columns as basis), from the rows or a
+splitting's labels (splitting_to_lattice).  Its diagonal gives the volume,
+its equality the lattice's, and its residues membership.
 The Smith normal form is computed only for labels: Z^n / lattice as a
 SplittingSequence, the labels of the unit vectors in Z_d1 + ... + Z_dk.
 A lattice of index vol(c) that holds the chair's tiling rows along some
@@ -159,10 +160,10 @@ class SplittingSequence:
 
 
 class Lattice:
-    """Full-rank lattice in R^n given by basis rows; immutable after construction."""
+    """Full-rank lattice in R^n given by basis rows (and its Hermite form, if known); immutable."""
 
-    def __init__(self, rows: Sequence[Sequence[Scalar | str]]):
-        gen = tuple(tuple(as_exact(x) for x in row) for row in rows)
+    def __init__(self, rows: Sequence[Sequence[Scalar | str]], _hermite: IntMatrix | None = None):
+        gen = tuple(tuple(map(as_exact, row)) for row in rows)
         n = len(gen)
         if any(len(r) != n for r in gen):
             raise NonSquare("generator matrix must be square")
@@ -170,14 +171,14 @@ class Lattice:
             raise NonSquare("generator matrix must be nonempty")
         self.generator: tuple[tuple[Scalar, ...], ...] = gen
         self.n = n
-        self.scale = math.lcm(*(x.denominator for row in gen for x in row))
-        self._matrix = IntMatrix(tuple(tuple(int(x * self.scale) for x in row) for row in gen))
-        try:  # the Hermite form of the integer model sL, columns as basis
-            self._hermite = exactmath.hermite_normal_form(self._matrix.transpose())
+        self.scale = math.lcm(*[x.denominator for row in gen for x in row])
+        self._matrix = IntMatrix._built(tuple(tuple([int(x * self.scale) for x in row]) for row in gen))
+        try:  # the Hermite form of sL, columns as basis; splitting_to_lattice knows it
+            self._hermite = _hermite or exactmath.hermite_normal_form(self._matrix.transpose())
         except SingularMatrix:
             raise SingularMatrix("basis rows are linearly dependent") from None
         diagonal = math.prod(row[i] for i, row in enumerate(self._hermite.entries))
-        self.volume: Scalar = as_exact(Fraction(diagonal, self.scale**n))
+        self.volume: Scalar = diagonal if self.scale == 1 else as_exact(Fraction(diagonal, self.scale**n))
         self._quotient: SplittingSequence | None = None
 
     @property
@@ -214,11 +215,13 @@ class Lattice:
         return self._quotient
 
     def coset_label(self, p: Sequence[int]) -> tuple[int, ...]:
-        """Image of p in Z^n / lattice, one residue per nontrivial divisor."""
+        """Image of the integer point p in Z^n / lattice, one residue per nontrivial divisor."""
         if not self.is_integer:
             raise NonIntegerLattice("coset labels need an integer lattice")
         if len(p) != self.n:
             raise DimensionMismatch(f"point has {len(p)} coordinates, lattice is {self.n}-dimensional")
+        if operator.countOf(map(type, p), int) != len(p):  # a point of plain ints skips as_int
+            p = [as_int(x, "a coordinate") for x in p]
         return self.labeling().value(p)
 
     def member(self, p: Sequence[Scalar]) -> bool:

@@ -115,19 +115,21 @@ def _generates(s: SplittingSequence) -> bool:
 def splitting_to_lattice(s: SplittingSequence) -> Lattice:
     """Kernel lattice of the labelling: all integer vectors whose value is zero.
 
-    The kernel basis is read off the integer kernel of the residue rows
-    stacked with the diagonal of group orders; factors of order 1 add
-    nothing and are skipped.  The lattice volume equals the size of the
-    labelling's image, which can be smaller than the group order when the
-    residues do not generate the group.
+    The basis rows are read off the integer kernel of the residue rows
+    stacked with the diagonal of group orders; the Hermite form is the
+    labelling's closed form (exactmath.labelling_kernel), so the lattice is
+    built without computing it.  Factors of order 1 add nothing and are skipped.  The
+    lattice volume equals the size of the labelling's image, which can be
+    smaller than the group order when the residues do not generate the group.
     """
-    factors = [(d, row) for d, row in zip(s.divisors, s.residues) if d != 1]
+    factors = [(row, d) for d, row in zip(s.divisors, s.residues) if d != 1]
+    hermite = IntMatrix._built(exactmath.labelling_kernel(factors, s.n))
     k = len(factors)
     if k == 0:
-        return Lattice(IntMatrix.identity(s.n).entries)
-    stacked = [row + tuple(d if t == j else 0 for t in range(k)) for j, (d, row) in enumerate(factors)]
-    kernel = exactmath.integer_kernel(IntMatrix(tuple(stacked)))
-    return Lattice([row[:s.n] for row in kernel.entries])
+        return Lattice(hermite.entries, hermite)
+    stacked = [row + tuple(d if t == j else 0 for t in range(k)) for j, (row, d) in enumerate(factors)]
+    kernel = exactmath.integer_kernel(IntMatrix._built(tuple(stacked)))
+    return Lattice([row[:s.n] for row in kernel.entries], hermite)
 
 
 def lattice_to_splitting(lat: Lattice) -> SplittingSequence:

@@ -568,12 +568,13 @@ class TestKernelBasis:
     @given(labellings())
     def test_matches_splitting_to_lattice(self, labelling):
         # the search's kernel basis, closed form in Z_d and cut out factor by
-        # factor in a product group, against the integer kernel of the residue rows
+        # factor in a product group, against the Hermite form computed from
+        # the integer kernel of the residue rows
         divs, rows = labelling
         strides = [math.prod(divs[c + 1:]) for c in range(len(divs))]
         beta = [sum(row[i] % d * stride for row, d, stride in zip(rows, divs, strides))
                 for i in range(len(rows[0]))]
-        expected = splitting_to_lattice(SplittingSequence(divs, rows)).canonical()
+        expected = Lattice(splitting_to_lattice(SplittingSequence(divs, rows)).generator).canonical()
         assert _Group(divs).kernel(beta) == expected.entries
 
 

@@ -6,7 +6,8 @@ import pytest
 from chaircodes import exactmath as xm
 from chaircodes.errors import NonSquare, NotInvertible, SingularMatrix
 from chaircodes.exactmath import IntMatrix
-from chaircodes.lattice import Lattice, chair_lattice
+from chaircodes.lattice import Lattice, SplittingSequence, chair_lattice
+from chaircodes.splitting import splitting_to_lattice
 
 from oracles import (
     cofactor_determinant,
@@ -201,13 +202,25 @@ class TestIntMatrix:
         assert m.transpose().transpose() == m
 
     def test_transpose_equals_the_validated_matrix(self):
-        # transpose skips the row checks, so its result must equal (and hash
-        # like) the IntMatrix built from the same rows with them
+        # transpose, the three normal forms and a Lattice's integer model skip
+        # the row checks, so each result must equal (and hash like) the
+        # IntMatrix built from the same rows with them, and hold tuples of
+        # plain ints
         for rows in [(), ((7,),), ((1, 2, 3), (4, 5, 6)), ((-1, 0), (2**70, 3), (5, -6))]:
             t = IntMatrix(rows).transpose()
             expected = IntMatrix(tuple(zip(*rows)))
             assert t == expected and hash(t) == hash(expected)
             assert (t.rows, t.cols) == (expected.rows, expected.cols)
+        for rows in [((7,),), ((2, 1), (0, 3)), ((-1, 0, 4), (2**70, 3, 1), (5, -6, 2)), ((1, 2), (2, 4))]:
+            m = IntMatrix(rows)
+            results = [xm.integer_kernel(m), xm.integer_kernel(IntMatrix(rows[:-1]))]
+            if xm.determinant(m):
+                results += [xm.hermite_normal_form(m), *xm.smith_normal_form(m), Lattice(rows)._matrix]
+            for r in results:
+                assert type(r.entries) is tuple and all(type(row) is tuple for row in r.entries), rows
+                assert all(type(x) is int for row in r.entries for x in row), rows
+                expected = IntMatrix(r.entries)
+                assert r == expected and hash(r) == hash(expected)
 
 
 def _square_inputs(count: int, seed: int) -> list[tuple[tuple[int, ...], ...]]:
@@ -277,10 +290,29 @@ class TestReferenceNormalForms:
         assert 150 < singular < 1500
 
     def test_kernel_inputs_match(self):
+        # the integer kernel against the reference loop; then the closed-form
+        # labelling_kernel against hermite_normal_form of the kernel's rows,
+        # which splitting_to_lattice still takes as its generator: each input
+        # as given, with a factor of order 1 put first, with every residue
+        # doubled (so that it need not generate), and the trivial group
+        labellings = [([], n) for n in range(1, 5)]
         for rows in _kernel_inputs(600, 103):
             kernel = xm.integer_kernel(IntMatrix(rows))
             assert kernel == reference_integer_kernel(IntMatrix(rows)), rows
             assert all(sum(a * b for a, b in zip(r, v)) == 0 for r in rows for v in kernel.entries)
+            n = len(rows[0]) - len(rows)
+            factors = [(row[:n], row[n + j]) for j, row in enumerate(rows)]
+            labellings += [(factors, n), ([(factors[0][0], 1)] + factors, n),
+                           ([(tuple(2 * b % d for b in r), d) for r, d in factors], n)]
+        for factors, n in labellings:
+            k = len(factors)
+            stacked = tuple(r + tuple(d if t == j else 0 for t in range(k)) for j, (r, d) in enumerate(factors))
+            basis = tuple(v[:n] for v in xm.integer_kernel(IntMatrix(stacked)).entries) if k else ()
+            expected = xm.hermite_normal_form(IntMatrix(basis or IntMatrix.identity(n).entries).transpose())
+            assert xm.labelling_kernel(factors, n) == expected.entries, factors
+            s = SplittingSequence(tuple(d for _, d in factors), tuple(r for r, _ in factors), tuple(range(n)))
+            lat = splitting_to_lattice(s)
+            assert lat == Lattice(lat.generator), factors
 
     def test_smith_diagonal_matches_sympy(self):
         sympy = pytest.importorskip("sympy")

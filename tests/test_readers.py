@@ -6,6 +6,7 @@ of the wrong shape exit 2 as well."""
 
 import json
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -68,6 +69,10 @@ REFUSED = {
     "box bounds [2.9, 0.5]": lambda: lattice_points_in_box(SQUARE_LATTICE, [2.9, 0.5]),
     "box bounds bool": lambda: lattice_points_in_box(SQUARE_LATTICE, [True, 1]),
     "box bounds text": lambda: lattice_points_in_box(SQUARE_LATTICE, ["2", 1]),
+    "coset_label float": lambda: SQUARE_LATTICE.coset_label((0.5, 1)),
+    "coset_label Fraction": lambda: SQUARE_LATTICE.coset_label((Fraction(1, 2), 1)),
+    "coset_label bool": lambda: SQUARE_LATTICE.coset_label((True, 1)),
+    "coset_label text": lambda: SQUARE_LATTICE.coset_label(("1", 1)),
     "resolve_budget(True)": lambda: resolve_budget(True),
     "resolve_budget float": lambda: resolve_budget(12.0),
     "resolve_budget text": lambda: resolve_budget("1_0"),
@@ -240,6 +245,8 @@ def test_accepted(integer):
     assert SplittingSequence.cyclic(integer(7), word, tuple(map(integer, (2, 0, 1)))).permutation == (2, 0, 1)
     assert ErrorSphere(integer(2), integer(1), (integer(1), integer(2))) == ErrorSphere(2, 1, (1, 2))
     assert list(lattice_points_in_box(SQUARE_LATTICE, [integer(2), integer(2)])) == [(k, k) for k in range(-2, 3)]
+    assert SQUARE_LATTICE.coset_label((integer(3), integer(3))) == SQUARE_LATTICE.coset_label((3, 3))
+    assert all(type(x) is int for x in SQUARE_LATTICE.coset_label((integer(3), integer(3))))
     assert resolve_budget(integer(12)) == 12
     assert sphere_size(integer(3), integer(1), integer(2)) == 7
     assert nonexistence_divisibility_check(integer(4), integer(1)).status == "NoPerfectCode"
